@@ -20,6 +20,19 @@ let seed_arg =
 let full_arg =
   Arg.(value & flag & info [ "full" ] ~doc:"Larger size grids and more seeds (slower).")
 
+(* Params.make/make_for reject a size or fraction outside the
+   protocol's preconditions with [Invalid_argument "Params.…"]. A
+   command built with [params_cmd] runs its body as a thunk and reports
+   that as a usage error (exit 124), not as an internal error. *)
+let params_cmd info body =
+  let run f =
+    match f () with
+    | code -> `Ok code
+    | exception Invalid_argument msg when String.starts_with ~prefix:"Params." msg ->
+      `Error (true, msg)
+  in
+  Cmd.v info Term.(ret (const run $ body))
+
 (* --- fba run-aer --- *)
 
 let attack_arg =
@@ -45,7 +58,7 @@ let know_arg =
     & info [ "knowledgeable" ] ~docv:"FRACTION"
         ~doc:"Fraction of nodes that are correct and know gstring initially (above 1/2).")
 
-let run_aer n byz know seed attack mode =
+let run_aer n byz know seed attack mode () =
   let setup =
     { Runner.default_setup with
       Runner.byzantine_fraction = byz;
@@ -86,13 +99,13 @@ let run_aer n byz know seed attack mode =
 
 let run_aer_cmd =
   let doc = "Run the AER almost-everywhere→everywhere protocol once." in
-  Cmd.v
+  params_cmd
     (Cmd.info "run-aer" ~doc)
     Term.(const run_aer $ n_arg $ byz_arg $ know_arg $ seed_arg $ attack_arg $ mode_arg)
 
 (* --- fba run-ba --- *)
 
-let run_ba n byz seed =
+let run_ba n byz seed () =
   let r = Fba_core.Ba.run_sync ~n ~seed:(Int64.of_int seed) ~byzantine_fraction:byz () in
   Format.printf "BA (aeba + AER) n=%d byzantine=%.2f@." n byz;
   Format.printf "  almost-everywhere fraction after phase 1: %.3f@." r.Fba_core.Ba.ae_fraction;
@@ -110,7 +123,7 @@ let run_ba n byz seed =
 
 let run_ba_cmd =
   let doc = "Run the full Byzantine Agreement composition (aeba + AER)." in
-  Cmd.v (Cmd.info "run-ba" ~doc) Term.(const run_ba $ n_arg $ byz_arg $ seed_arg)
+  params_cmd (Cmd.info "run-ba" ~doc) Term.(const run_ba $ n_arg $ byz_arg $ seed_arg)
 
 (* --- fba trace --- *)
 
@@ -144,7 +157,7 @@ let partition_arg =
           "Off-model network condition: bisect the network from round 1 for $(docv) rounds \
            (0 = no partition).")
 
-let run_trace n byz know seed attack mode jsonl csv drop_rate partition =
+let run_trace n byz know seed attack mode jsonl csv drop_rate partition () =
   let setup =
     { Runner.default_setup with
       Runner.byzantine_fraction = byz;
@@ -271,7 +284,7 @@ let trace_cmd =
      optional JSONL export. $(b,--drop-rate)/$(b,--partition) inject off-model network \
      conditions."
   in
-  Cmd.v
+  params_cmd
     (Cmd.info "trace" ~doc)
     Term.(
       const run_trace $ n_arg $ byz_arg $ know_arg $ seed_arg $ attack_arg $ mode_arg
@@ -301,7 +314,7 @@ let attack_name = function
   | `Cornering -> "cornering"
   | `Capture -> "capture"
 
-let run_profile n byz know seed attack mode top json =
+let run_profile n byz know seed attack mode top json () =
   let setup =
     { Runner.default_setup with
       Runner.byzantine_fraction = byz;
@@ -456,7 +469,7 @@ let profile_cmd =
      table, phase x round wall-clock and allocation matrices that must sum exactly to the \
      run totals (non-zero exit otherwise), and $(b,--json) Telemetry export."
   in
-  Cmd.v
+  params_cmd
     (Cmd.info "profile" ~doc)
     Term.(
       const run_profile $ n_arg $ byz_arg $ know_arg $ seed_arg $ attack_arg $ mode_arg
@@ -490,7 +503,7 @@ let check_arg =
           "Re-sum the latency histogram from the per-instance results and verify the sample \
            count and p50/p99 against the summary; non-zero exit on mismatch.")
 
-let run_service n byz know seed attack instances width jobs check =
+let run_service n byz know seed attack instances width jobs check () =
   if jobs < 0 || instances < 0 || width < 1 then begin
     Format.eprintf "service: need --jobs >= 0, --instances >= 0, --width >= 1@.";
     2
@@ -618,7 +631,7 @@ let service_cmd =
     "Stream many BA instances through the epoch-reset agreement service: per-instance traces \
      (deterministic, stdout) plus throughput and pipelined-latency percentiles (stderr)."
   in
-  Cmd.v (Cmd.info "service" ~doc)
+  params_cmd (Cmd.info "service" ~doc)
     Term.(
       const run_service $ n_arg $ byz_arg $ know_arg $ seed_arg $ attack_arg $ instances_arg
       $ width_arg $ jobs_arg $ check_arg)

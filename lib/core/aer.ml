@@ -163,10 +163,14 @@ type state = {
   fw1_targets : (int, (int, int) Hashtbl.t) Hashtbl.t;
       (* Algorithm 2 second handler, per (s, x): verified w ↦ label id.
          Stays a Hashtbl: its iteration order fixes the serve-all Fw2
-         burst's wire order, which the determinism goldens pin. *)
+         burst's wire order, which the determinism goldens pin. Only
+         written when a target is first seen and read by the burst;
+         the per-delivery test goes through [f1_served]. *)
   f1s_masks : Int_table.t;  (* distinct y ∈ H(s,x) seen, keyed key_sx *)
   f1s_counts : Int_table.t;
-  f1_served : Int_table.t;  (* presence: (key_sx lsl 13) lor w *)
+  f1_served : Int_table.t;
+      (* keyed (key_sx lsl id_bits) lor w: bit 0 = w is a recorded
+         target of (s, x), bit 1 = w was sent its Fw2 *)
   fw2_masks : Int_table.t;  (* distinct z ∈ H(s,this), keyed key_sx *)
   fw2_counts : Int_table.t;
   polled : Int_table.t;  (* Algorithm 3's Polled set: presence, key_xs *)
@@ -337,15 +341,17 @@ and handle_fw1 cfg st ~emit ~src p =
       if spos >= 0 && Cache.mem_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:w
       then begin
         let tkey = key_sx lt ~sid ~x in
-        let targets =
+        let wkey = (tkey lsl lt.Msg.Layout.id_bits) lor w in
+        (* First sighting of w as a target: its label id is the one
+           served, so later copies with another rid never overwrite it. *)
+        if Int_table.add_bit st.f1_served wkey ~bit:0 then begin
           match Hashtbl.find st.fw1_targets tkey with
-          | t -> t
+          | t -> Hashtbl.add t w rid
           | exception Not_found ->
             let t = Hashtbl.create 8 in
-            Hashtbl.add st.fw1_targets tkey t;
-            t
-        in
-        if not (Hashtbl.mem targets w) then Hashtbl.add targets w rid;
+            Hashtbl.add t w rid;
+            Hashtbl.add st.fw1_targets tkey t
+        end;
         let c_new =
           mask_add st.f1s_masks st.f1s_counts ~mult:lt.Msg.Layout.mask_mult ~key:tkey ~pos:spos
         in
@@ -363,17 +369,18 @@ and handle_fw1 cfg st ~emit ~src p =
             Vec.clear st.scratch_rid;
             Hashtbl.iter
               (fun w rid ->
-                if Int_table.add st.f1_served ((tkey lsl lt.Msg.Layout.id_bits) lor w) then begin
+                if Int_table.add_bit st.f1_served ((tkey lsl lt.Msg.Layout.id_bits) lor w) ~bit:1
+                then begin
                   Vec.push st.scratch_w w;
                   Vec.push st.scratch_rid rid
                 end)
-              targets;
+              (Hashtbl.find st.fw1_targets tkey);
             for i = Vec.length st.scratch_w - 1 downto 0 do
               emit (Vec.get st.scratch_w i)
                 (Packed.fw2 lt ~sid ~rid:(Vec.get st.scratch_rid i) ~x)
             done
           end
-          else if Int_table.add st.f1_served ((tkey lsl lt.Msg.Layout.id_bits) lor w) then
+          else if Int_table.add_bit st.f1_served wkey ~bit:1 then
             emit w (Packed.fw2 lt ~sid ~rid ~x)
         end
       end

@@ -35,4 +35,6 @@ let cdiv a b =
   if b <= 0 then invalid_arg "Intx.cdiv: non-positive divisor";
   (a + b - 1) / b
 
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+(* The annotation is what makes the comparisons integer ones: the .mli
+   type alone leaves the compiled body polymorphic (caml_lessthan). *)
+let clamp ~lo ~hi (x : int) = if x < lo then lo else if x > hi then hi else x

@@ -6,6 +6,34 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
+# Monomorphic hot paths: the modules on AER's per-delivery path must
+# not call OCaml's polymorphic comparison or hashing primitives. An
+# unannotated `a.(i) = y` over an 'a array compiles to one caml_equal C
+# call per element (plus a float-array check per load), which is how
+# the quorum scans once spent a third of an instance. `nm -u` on the
+# built objects catches that at its source, naming the module.
+poly='caml_equal|caml_notequal|caml_compare|caml_lessthan|caml_lessequal|caml_greaterthan|caml_greaterequal|caml_hash'
+if ! command -v nm > /dev/null 2>&1; then
+  echo "GATE FAILED: nm not found; cannot run the polymorphic-primitive guard" >&2
+  exit 1
+fi
+for m in samplers:Cache stdx:Int_table stdx:Intx core:Aer core:Compiled \
+         sim:Batch sim:Engine_core sim:Sync_engine sim:Async_engine; do
+  lib="${m%%:*}"
+  mod="${m#*:}"
+  obj="_build/default/lib/$lib/.fba_$lib.objs/native/fba_${lib}__$mod.o"
+  if [ ! -f "$obj" ]; then
+    echo "GATE FAILED: $obj not built; cannot check $mod" >&2
+    exit 1
+  fi
+  bad="$(nm -u "$obj" | awk '{print $NF}' | grep -xE "$poly" | tr '\n' ' ')"
+  if [ -n "$bad" ]; then
+    echo "GATE FAILED: $mod references polymorphic primitives: $bad" >&2
+    exit 1
+  fi
+done
+echo "monomorphic guard ok: no polymorphic compare/hash in the per-delivery modules"
+
 # Trace pipeline smoke test: the fba trace subcommand must succeed on a
 # small scenario (its exit status already enforces the per-phase bits
 # == Metrics.total_bits_all cross-check) and its JSONL export must be
@@ -235,7 +263,7 @@ with open(baseline_path) as f:
 target = "fig1a/aer-cornering-n128"
 entry = next((t for t in doc["targets"] if t["name"] == target), None)
 if entry is None:
-    sys.exit(f"{baseline_path} has no {target} entry")
+    sys.exit(f"GATE FAILED: {baseline_path} lacks {target}")
 base = entry["allocated_words_per_run"]
 ratio = words / base
 if ratio > 1.01:
@@ -251,7 +279,7 @@ print(f"allocation gate ok: {target} at {words:.0f} words/run, "
 # recorded before the gauge existed simply skip the gate.
 base_peak = entry.get("peak_mailbox_words")
 if base_peak is None:
-    print(f"peak-words gate skipped: {baseline_path} predates the gauge")
+    sys.exit(f"GATE FAILED: {baseline_path} lacks {target} peak_mailbox_words")
 else:
     with open(current_path) as f:
         cur = json.load(f)
@@ -271,7 +299,8 @@ EOF
   # Throughput gate: the service instance-stream rows ride the same
   # wall-time compare machinery — time per instance is inverse
   # throughput, so a --metric time regression IS a throughput
-  # regression. Baselines recorded before the service existed skip it.
+  # regression. A baseline without the row fails the gate: record a
+  # newer BENCH_<rev>.json rather than let the gate skip.
   if grep -q '"service/stream-n128"' "$baseline"; then
     svc="$(mktemp)"
     trap 'rm -f "$jsonl" "$telemetry" "$history" "$seq_out" "$par_out" "$current" "$svc"' EXIT
@@ -280,8 +309,10 @@ EOF
       --tol "${FBA_PERF_TIME_TOL:-10}" --metric time
     echo "service throughput gate ok: stream-n128 time/instance within tolerance"
   else
-    echo "baseline predates service rows; skipping throughput gate" >&2
+    echo "GATE FAILED: $baseline lacks service/stream-n128" >&2
+    exit 1
   fi
 else
-  echo "no recorded BENCH_<rev>.json baseline; skipping perf gates" >&2
+  echo "GATE FAILED: no recorded BENCH_<rev>.json baseline in this history" >&2
+  exit 1
 fi

@@ -21,4 +21,5 @@ let () =
          Test_prof.suites;
          Test_streamed.suites;
          Test_service.suites;
+         Test_cli.suites;
        ])

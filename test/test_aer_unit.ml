@@ -250,6 +250,135 @@ let test_fw2_requires_h_membership () =
     (Array.to_list members);
   Alcotest.(check int) "answered exactly once" 1 !answers
 
+(* --- Algorithm 2, second handler (Fw1 serving) ---
+
+   A knowledgeable node z (it believes g, so Fw1s about g are handled,
+   not deferred) serves poll-list members w ∈ J(x, r) for which it sits
+   in H(g, w). It records each such target on first sight and counts
+   distinct senders y ∈ H(g, x); on the majority_h-th it sends one Fw2
+   to every recorded target, and afterwards one to each new target. *)
+
+let knowledgeable sc =
+  let rec loop i = if Scenario.knows_gstring sc i then i else loop (i + 1) in
+  loop 0
+
+(* The targets of (x, r) that z accepts Fw1s for, in J-quorum order. *)
+let fw1_targets params ~g ~z ~x ~r =
+  let h = Params.sampler_h params in
+  List.filter
+    (fun w -> Sampler.mem_sx h ~s:g ~x:w ~y:z)
+    (Array.to_list (Sampler.quorum_xr (Params.sampler_j params) ~x ~r))
+
+(* The first requester x <> z and label r with at least [k] targets. *)
+let find_poll params ~g ~z ~k =
+  let rec loop x r =
+    if x >= n then Alcotest.fail "no poll with enough Fw1 targets"
+    else if r > 400 then loop (x + 1) 1
+    else begin
+      let ts = fw1_targets params ~g ~z ~x ~r:(Int64.of_int r) in
+      if x <> z && List.length ts >= k then (x, Int64.of_int r, ts) else loop x (r + 1)
+    end
+  in
+  loop 0 1
+
+let fw1_env () =
+  let params, sc, cfg = make_env () in
+  let z = knowledgeable sc in
+  let st, _ = init_node cfg z in
+  (params, sc.Scenario.gstring, z, cfg, st)
+
+(* (dst, label) of every Fw2 among a delivery's outputs. *)
+let fw2s outs =
+  List.filter_map (fun (dst, m) -> match m with Msg.Fw2 { r; _ } -> Some (dst, r) | _ -> None) outs
+
+let fw1 cfg st ~src ~x ~g ~r ~w = fw2s (deliver cfg st ~src (Msg.Fw1 { x; s = g; r; w }))
+
+let dst_label = Alcotest.(list (pair int int64))
+
+let test_fw1_repeated_sender_counts_once () =
+  let params, g, z, cfg, st = fw1_env () in
+  let x, r, ts = find_poll params ~g ~z ~k:1 in
+  let w = List.hd ts in
+  let senders = Sampler.quorum_sx (Params.sampler_h params) ~s:g ~x in
+  let maj = Params.majority_h params in
+  for _ = 1 to maj do
+    Alcotest.check dst_label "one sender repeated: no Fw2" []
+      (fw1 cfg st ~src:senders.(0) ~x ~g ~r ~w)
+  done;
+  for i = 1 to maj - 2 do
+    Alcotest.check dst_label "below majority: no Fw2" [] (fw1 cfg st ~src:senders.(i) ~x ~g ~r ~w)
+  done;
+  Alcotest.check dst_label "majority-th distinct sender serves w" [ (w, r) ]
+    (fw1 cfg st ~src:senders.(maj - 1) ~x ~g ~r ~w)
+
+let test_fw1_first_rid_wins () =
+  let params, g, z, cfg, st = fw1_env () in
+  (* A target w named under two labels r1 and r2 of the same (x, g). *)
+  let j = Params.sampler_j params in
+  let x, r1, ts = find_poll params ~g ~z ~k:1 in
+  let w = List.hd ts in
+  let r2 =
+    let rec loop r =
+      if Int64.compare r 4000L > 0 then Alcotest.fail "no second label naming w"
+      else if (not (Int64.equal r r1)) && Sampler.mem_xr j ~x ~r ~y:w then r
+      else loop (Int64.succ r)
+    in
+    loop 1L
+  in
+  let senders = Sampler.quorum_sx (Params.sampler_h params) ~s:g ~x in
+  let maj = Params.majority_h params in
+  ignore (fw1 cfg st ~src:senders.(0) ~x ~g ~r:r1 ~w);
+  for i = 1 to maj - 2 do
+    ignore (fw1 cfg st ~src:senders.(i) ~x ~g ~r:r2 ~w)
+  done;
+  Alcotest.check dst_label "the burst serves w under its first label" [ (w, r1) ]
+    (fw1 cfg st ~src:senders.(maj - 1) ~x ~g ~r:r2 ~w)
+
+let test_fw1_burst_order () =
+  let params, g, z, cfg, st = fw1_env () in
+  let x, r, ts = find_poll params ~g ~z ~k:3 in
+  let senders = Sampler.quorum_sx (Params.sampler_h params) ~s:g ~x in
+  let maj = Params.majority_h params in
+  List.iter
+    (fun w ->
+      Alcotest.check dst_label "recording a target: no Fw2" []
+        (fw1 cfg st ~src:senders.(0) ~x ~g ~r ~w))
+    ts;
+  for i = 1 to maj - 2 do
+    ignore (fw1 cfg st ~src:senders.(i) ~x ~g ~r ~w:(List.hd ts))
+  done;
+  (* The historical burst was a Hashtbl.fold over w ↦ label, consing
+     as it visited: the wire order is that fold's list. *)
+  let tbl = Hashtbl.create 8 in
+  List.iter (fun w -> Hashtbl.add tbl w r) ts;
+  let expected = Hashtbl.fold (fun w r acc -> (w, r) :: acc) tbl [] in
+  Alcotest.check dst_label "one Fw2 per target, historical order" expected
+    (fw1 cfg st ~src:senders.(maj - 1) ~x ~g ~r ~w:(List.hd ts));
+  for i = maj to Array.length senders - 1 do
+    List.iter
+      (fun w ->
+        Alcotest.check dst_label "served targets get nothing more" []
+          (fw1 cfg st ~src:senders.(i) ~x ~g ~r ~w))
+      ts
+  done
+
+let test_fw1_late_target_served_once () =
+  let params, g, z, cfg, st = fw1_env () in
+  let x, r, ts = find_poll params ~g ~z ~k:2 in
+  let w0 = List.nth ts 0 and w1 = List.nth ts 1 in
+  let senders = Sampler.quorum_sx (Params.sampler_h params) ~s:g ~x in
+  let maj = Params.majority_h params in
+  for i = 0 to maj - 2 do
+    ignore (fw1 cfg st ~src:senders.(i) ~x ~g ~r ~w:w0)
+  done;
+  Alcotest.check dst_label "burst serves the one recorded target" [ (w0, r) ]
+    (fw1 cfg st ~src:senders.(maj - 1) ~x ~g ~r ~w:w0);
+  Alcotest.check dst_label "a target verified after the majority is served at once" [ (w1, r) ]
+    (fw1 cfg st ~src:senders.(0) ~x ~g ~r ~w:w1);
+  for i = 1 to Array.length senders - 1 do
+    Alcotest.check dst_label "and only once" [] (fw1 cfg st ~src:senders.(i) ~x ~g ~r ~w:w1)
+  done
+
 let suites =
   [
     ( "core.aer.handlers",
@@ -264,5 +393,13 @@ let suites =
         Alcotest.test_case "decision monotone" `Quick test_decision_is_monotone;
         Alcotest.test_case "fw2: H-membership + single answer" `Quick
           test_fw2_requires_h_membership;
+        Alcotest.test_case "fw1: a repeated sender counts once" `Quick
+          test_fw1_repeated_sender_counts_once;
+        Alcotest.test_case "fw1: the first label recorded for a target wins" `Quick
+          test_fw1_first_rid_wins;
+        Alcotest.test_case "fw1: majority burst serves each target once, in order" `Quick
+          test_fw1_burst_order;
+        Alcotest.test_case "fw1: a target verified after the majority gets one Fw2" `Quick
+          test_fw1_late_target_served_once;
       ] );
   ]

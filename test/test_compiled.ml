@@ -152,6 +152,60 @@ let test_pos_oracles () =
     if pos >= 0 then Alcotest.(check int) "pos_rid indexes the quorum" y q.(pos)
   done
 
+(* --- Typed membership scans vs an Array.exists oracle ---
+
+   [mem_sid]/[pos_sid]/[mem_rid] answer from monomorphic int scans over
+   memoized quorums; the oracle asks the sampler afresh and scans with
+   the stdlib. Probes are quorum members, other ids, and ids outside
+   [0, n) (the scans must answer "absent" for those, never fault). *)
+
+let scan_fixtures =
+  lazy
+    (Array.map
+       (fun n ->
+         let sc = scenario ~n ~seed:5L in
+         let params = sc.Scenario.params in
+         let find s = Intern.find sc.Scenario.intern s in
+         ( sc,
+           Cache.create ~find (Params.sampler_h params),
+           Cache.create ~find (Params.sampler_j params) ))
+       [| 24; 64; 130 |])
+
+let first_index q y =
+  let rec go i = if i >= Array.length q then -1 else if q.(i) = y then i else go (i + 1) in
+  go 0
+
+let prop_scans_match_oracle =
+  let open QCheck2.Gen in
+  let gen =
+    tup4 (int_range 0 2) (int_bound 10_000) (pair (int_range 0 2) (int_bound 10_000))
+      (int_range 1 5_000)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"mem_sid/pos_sid/mem_rid agree with an Array.exists oracle"
+       gen (fun (fi, xs, (mode, k), label) ->
+         let sc, qh, qj = (Lazy.force scan_fixtures).(fi) in
+         let params = sc.Scenario.params in
+         let n = params.Params.n in
+         let x = xs mod n in
+         (* Any string the run knows: node [k mod n]'s initial value. *)
+         let s = sc.Scenario.initial.(k mod n) in
+         let sid = Intern.find sc.Scenario.intern s in
+         let r = Int64.of_int label in
+         let rid = Intern.intern_label sc.Scenario.intern r in
+         let qs = Sampler.quorum_sx (Params.sampler_h params) ~s ~x in
+         let qr = Sampler.quorum_xr (Params.sampler_j params) ~x ~r in
+         let probe q =
+           match mode with
+           | 0 -> q.(k mod Array.length q)  (* a member *)
+           | 1 -> k mod n  (* any in-range id *)
+           | _ -> if k land 1 = 0 then -1 - (k mod 7) else n + (k mod 7)  (* outside [0, n) *)
+         in
+         let y = probe qs and y' = probe qr in
+         Cache.mem_sid qh ~sid ~s ~x ~y = Array.exists (fun v -> v = y) qs
+         && Cache.pos_sid qh ~sid ~s ~x ~y = first_index qs y
+         && Cache.mem_rid qj ~x ~rid ~r ~y:y' = Array.exists (fun v -> v = y') qr))
+
 (* --- CSR fan-out vs the Push_plan oracle --- *)
 
 let test_csr_matches_push_plan () =
@@ -306,6 +360,7 @@ let suites =
     ( "compiled.tables",
       [
         Alcotest.test_case "pos_sid/pos_rid agree with the mem oracles" `Quick test_pos_oracles;
+        prop_scans_match_oracle;
         Alcotest.test_case "CSR fan-out equals Push_plan" `Quick test_csr_matches_push_plan;
         Alcotest.test_case "donated qi rows equal the sampler" `Quick test_seeded_rows_match_sampler;
         Alcotest.test_case "Compiled.bits equals Packed.bits" `Quick test_bits_agree;
