@@ -21,15 +21,23 @@ let full_arg =
   Arg.(value & flag & info [ "full" ] ~doc:"Larger size grids and more seeds (slower).")
 
 (* Params.make/make_for reject a size or fraction outside the
-   protocol's preconditions with [Invalid_argument "Params.…"]. A
-   command built with [params_cmd] runs its body as a thunk and reports
-   that as a usage error (exit 124), not as an internal error. *)
+   protocol's preconditions with [Invalid_argument "Params.…"], and the
+   packed message word cannot address more than 2^18 nodes. A command
+   built with [params_cmd] runs its body as a thunk and reports either
+   as a usage error (exit 124), not as an internal error. An output
+   file that cannot be opened ends the command with a one-line error. *)
 let params_cmd info body =
   let run f =
     match f () with
     | code -> `Ok code
     | exception Invalid_argument msg when String.starts_with ~prefix:"Params." msg ->
       `Error (true, msg)
+    | exception Fba_core.Msg.Layout.Immediate_exhausted { n; _ } ->
+      `Error
+        ( true,
+          Printf.sprintf "n=%d is past the packed message word's ceiling of 2^18 = 262144 nodes"
+            n )
+    | exception Sys_error msg -> `Error (false, msg)
   in
   Cmd.v info Term.(ret (const run $ body))
 

@@ -13,16 +13,12 @@ let quorum_sx t ~s ~x =
      collect distinct members by walking until d are found (always
      terminates within n steps since consecutive offsets differ). *)
   let out = Array.make t.d (-1) in
-  let mem v k =
-    let rec loop i = i < k && (out.(i) = v || loop (i + 1)) in
-    loop 0
-  in
   let filled = ref 0 in
   let k = ref 0 in
   while !filled < t.d do
     let v = (base + x + (!k * t.stride) + !k) mod t.n in
     incr k;
-    if not (mem v !filled) then begin
+    if not (Sampler.mem_range out v 0 !filled) then begin
       out.(!filled) <- v;
       incr filled
     end

@@ -162,15 +162,7 @@ let quorum_xr t ~x ~r =
     I64_table.set t.xr key q;
     q
 
-(* Top-level recursion on purpose: an inner [let rec loop] would
-   capture [a]/[y] in a fresh closure on every membership test. The
-   [int array] annotations are load-bearing: left polymorphic, every
-   element comparison is a [caml_equal] C call and every load goes
-   through the float-array check. *)
-let rec mem_scan (a : int array) (y : int) i stop =
-  i < stop && (a.(i) = y || mem_scan a y (i + 1) stop)
-
-let mem_array a y = mem_scan a y 0 (Array.length a)
+let mem_array a y = Sampler.mem_range a y 0 (Array.length a)
 
 (* Position-returning scan: handlers that record set membership by
    quorum position get the index from the same walk the verification
@@ -243,7 +235,7 @@ let mem_rid t ~x ~rid ~r ~y = mem_array (quorum_rid t ~x ~rid ~r) y
 
 let pos_rid t ~x ~rid ~r ~y = pos_array (quorum_rid t ~x ~rid ~r) y
 
-let mem_flat t off ~y = mem_scan t.flat_xr y off (off + Sampler.d t.sampler)
+let mem_flat t off ~y = Sampler.mem_range t.flat_xr y off (off + Sampler.d t.sampler)
 
 let mem_xr t ~x ~r ~y =
   let key = key_xr t ~x ~r in

@@ -70,6 +70,11 @@ val quorum_into : t -> int64 -> int array -> pos:int -> unit
 val mem_of_key : t -> int64 -> y:int -> bool
 (** Early-exit membership on a key state; allocation-free. *)
 
+val mem_range : int array -> int -> int -> int -> bool
+(** [mem_range a v i stop] iff [v] is among [a.(i .. stop - 1)]: the
+    monomorphic, closure-free scan behind duplicate rejection in the
+    draws and every quorum-membership test. *)
+
 val majority_threshold : int -> int
 (** [majority_threshold k] is the smallest count that constitutes
     "more than half of" a quorum of size [k], i.e. [k/2 + 1]. *)

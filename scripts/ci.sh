@@ -17,8 +17,8 @@ if ! command -v nm > /dev/null 2>&1; then
   echo "GATE FAILED: nm not found; cannot run the polymorphic-primitive guard" >&2
   exit 1
 fi
-for m in samplers:Cache stdx:Int_table stdx:Intx core:Aer core:Compiled \
-         sim:Batch sim:Engine_core sim:Sync_engine sim:Async_engine; do
+for m in samplers:Cache samplers:Sampler stdx:Hash64 stdx:Int_table stdx:Intx \
+         core:Aer core:Compiled sim:Batch sim:Engine_core sim:Sync_engine sim:Async_engine; do
   lib="${m%%:*}"
   mod="${m#*:}"
   obj="_build/default/lib/$lib/.fba_$lib.objs/native/fba_${lib}__$mod.o"

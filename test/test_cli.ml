@@ -1,7 +1,9 @@
 (* The fba front-end's exit codes: a size or fraction that violates
-   Params.make/make_for's preconditions is a usage error (cmdliner's
-   exit 124, with the precondition and the usage line on stderr), never
-   an "internal error, uncaught exception" (exit 125). *)
+   Params.make/make_for's preconditions, or a population past the packed
+   message word's 2^18 ceiling, is a usage error (cmdliner's exit 124,
+   with the reason and the usage line on stderr), and an output file
+   that cannot be opened is a one-line error; neither is an "internal
+   error, uncaught exception" (exit 125). *)
 
 let fba = "../bin/fba.exe"
 
@@ -35,6 +37,17 @@ let test_params_preconditions () =
   check_usage_error [ "service"; "-n"; "1"; "--instances"; "1"; "--jobs"; "1" ]
     ~mentions:"n must be at least 4"
 
+let test_layout_ceiling () =
+  check_usage_error [ "run-aer"; "-n"; "300000" ] ~mentions:"2^18 = 262144"
+
+let test_unwritable_jsonl () =
+  let code, err = run [ "trace"; "-n"; "48"; "--jsonl"; "/nonexistent/dir/x.jsonl" ] in
+  Alcotest.(check bool) "exits non-zero" true (code <> 0);
+  Alcotest.(check bool) "no internal error" false (contains ~sub:"internal error" err);
+  Alcotest.(check bool) "names the file" true (contains ~sub:"/nonexistent/dir/x.jsonl" err);
+  Alcotest.(check int) "one line" 1
+    (List.length (List.filter (( <> ) "") (String.split_on_char '\n' err)))
+
 let test_valid_run_exits_zero () =
   let code, _ = run [ "run-aer"; "-n"; "32"; "--seed"; "3" ] in
   Alcotest.(check int) "run-aer -n 32 exit code" 0 code
@@ -45,6 +58,9 @@ let suites =
       [
         Alcotest.test_case "Params preconditions are usage errors" `Quick
           test_params_preconditions;
+        Alcotest.test_case "n past 2^18 is a usage error" `Quick test_layout_ceiling;
+        Alcotest.test_case "unwritable --jsonl is a one-line error" `Quick
+          test_unwritable_jsonl;
         Alcotest.test_case "a valid run exits 0" `Quick test_valid_run_exits_zero;
       ] );
   ]

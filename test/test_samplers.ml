@@ -249,6 +249,99 @@ let test_greedy_weaker_than_random () =
   in
   Alcotest.(check bool) "greedy attack shrinks the boundary" true (greedy_ratio < random_ratio)
 
+(* The closure-based draw loops the samplers ran before their
+   allocation-free rewrite, kept as the reference: a fresh prefix-scan
+   closure per attempt and the three-step int64 draw. *)
+let reference_quorum_into ~n ~d key out ~pos =
+  let mem_prefix v k =
+    let rec loop i = i < k && (out.(pos + i) = v || loop (i + 1)) in
+    loop 0
+  in
+  let k = ref 0 in
+  let attempt = ref 0 in
+  while !k < d do
+    let v = Hash64.to_range (Hash64.finish (Hash64.add_int key !attempt)) n in
+    incr attempt;
+    if not (mem_prefix v !k) then begin
+      out.(pos + !k) <- v;
+      incr k
+    end
+  done
+
+let reference_mem_of_key ~n ~d key ~y =
+  let out = Array.make d (-1) in
+  let mem_prefix v k =
+    let rec loop i = i < k && (out.(i) = v || loop (i + 1)) in
+    loop 0
+  in
+  let found = ref false in
+  let k = ref 0 in
+  let attempt = ref 0 in
+  while (not !found) && !k < d do
+    let v = Hash64.to_range (Hash64.finish (Hash64.add_int key !attempt)) n in
+    incr attempt;
+    if not (mem_prefix v !k) then begin
+      if v = y then found := true;
+      out.(!k) <- v;
+      incr k
+    end
+  done;
+  !found
+
+let prop_draws_match_reference =
+  let gen =
+    let open QCheck2.Gen in
+    let* seed = int64 in
+    (* d < n: a scan that wrongly counted the node-0 padding around
+       the slot as drawn still terminates, and fails the comparison
+       instead of hanging (d = n has its own unit test). *)
+    let* n = int_range 2 300 in
+    let* d = int_range 1 (min (n - 1) 40) in
+    let* x = int_range 0 (n - 1) in
+    let* pos = int_range 1 50 in
+    let* s = small_string ?gen:None in
+    let* r = int64 in
+    return (seed, n, d, x, pos, s, r)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"quorum_into/mem_of_key agree with the closure-based reference" gen
+       (fun (seed, n, d, x, pos, s, r) ->
+         let t = Sampler.create ~seed ~n ~d in
+         List.for_all
+           (fun key ->
+             (* Node 0 around the slot, so a scan that strays outside
+                [pos, pos + d) rejects a draw it should keep. *)
+             let got = Array.make (pos + d + 3) 0 in
+             let want = Array.make (pos + d + 3) 0 in
+             Sampler.quorum_into t key got ~pos;
+             reference_quorum_into ~n ~d key want ~pos;
+             got = want
+             && List.for_all
+                  (fun y -> Sampler.mem_of_key t key ~y = reference_mem_of_key ~n ~d key ~y)
+                  (-1 :: n :: List.init n Fun.id))
+           [ Sampler.key_sx t ~s ~x; Sampler.key_xr t ~x ~r ]))
+
+(* A draw needs no heap: 10k quorum draws, membership replays and raw
+   counter-mode draws on precomputed keys leave Gc.minor_words where it
+   was, exactly. *)
+let test_draws_allocation_free () =
+  let n = 1024 and d = 21 in
+  let t = Sampler.create ~seed:11L ~n ~d in
+  let keys = Array.init 64 (fun x -> Sampler.key_sx t ~s:"alloc" ~x) in
+  let out = Array.make (3 * d) 0 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let key = keys.(i land 63) in
+    Sampler.quorum_into t key out ~pos:d;
+    if Sampler.mem_of_key t key ~y:(i land (n - 1)) then incr hits;
+    hits := !hits + Hash64.draw key i n
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !hits);
+  Alcotest.(check (float 0.)) "minor words over 10k draws" 0. words
+
 let suites =
   [
     ( "samplers.sampler",
@@ -261,6 +354,8 @@ let suites =
         Alcotest.test_case "d = n" `Quick test_d_equals_n;
         Alcotest.test_case "majority threshold" `Quick test_majority_threshold;
         Alcotest.test_case "default d" `Quick test_default_d;
+        prop_draws_match_reference;
+        Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocation_free;
       ] );
     ( "samplers.cache",
       [

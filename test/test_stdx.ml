@@ -160,6 +160,23 @@ let test_hash_to_range () =
   Alcotest.check_raises "bound 0" (Invalid_argument "Hash64.to_range: non-positive bound")
     (fun () -> ignore (Hash64.to_range 5L 0))
 
+(* The fused draw is the three-step composition it replaces, for any
+   key and counter and every bound up to 2^20. *)
+let prop_hash_draw =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"draw = to_range (finish (add_int key i)) bound"
+       QCheck2.Gen.(triple int64 int (int_range 1 (1 lsl 20)))
+       (fun (key, i, bound) ->
+         Hash64.draw key i bound = Hash64.to_range (Hash64.finish (Hash64.add_int key i)) bound))
+
+let test_hash_draw_bound () =
+  List.iter
+    (fun bound ->
+      Alcotest.check_raises "non-positive bound"
+        (Invalid_argument "Hash64.to_range: non-positive bound")
+        (fun () -> ignore (Hash64.draw 5L 3 bound)))
+    [ 0; -1; min_int ]
+
 let test_hash_uniformity_rough () =
   (* Chi-square-free sanity: all 16 buckets populated over 4096 hashes. *)
   let buckets = Array.make 16 0 in
@@ -458,6 +475,8 @@ let suites =
         Alcotest.test_case "deterministic" `Quick test_hash_deterministic;
         Alcotest.test_case "length absorption" `Quick test_hash_length_matters;
         Alcotest.test_case "to_range" `Quick test_hash_to_range;
+        prop_hash_draw;
+        Alcotest.test_case "draw rejects bound <= 0" `Quick test_hash_draw_bound;
         Alcotest.test_case "rough uniformity" `Quick test_hash_uniformity_rough;
       ] );
     ( "stdx.bitset",
