@@ -20,6 +20,23 @@ let seed_arg =
 let full_arg =
   Arg.(value & flag & info [ "full" ] ~doc:"Larger size grids and more seeds (slower).")
 
+(* Range-checked option values: one outside its range is a parse error,
+   so the command stops with the reason and its usage (exit 124) before
+   running anything, rather than raising mid-run or silently running
+   something else. *)
+let checked conv ~what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let non_negative = checked Arg.int ~what:"a non-negative integer" (fun v -> v >= 0)
+let positive = checked Arg.int ~what:"a positive integer" (fun v -> v >= 1)
+let probability = checked Arg.float ~what:"a probability in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)
+
 (* Params.make/make_for reject a size or fraction outside the
    protocol's preconditions with [Invalid_argument "Params.…"], and the
    packed message word cannot address more than 2^18 nodes. A command
@@ -150,7 +167,7 @@ let csv_arg =
 let drop_rate_arg =
   Arg.(
     value
-    & opt float 0.0
+    & opt probability 0.0
     & info [ "drop-rate" ] ~docv:"RATE"
         ~doc:
           "Off-model network condition: lose each delivery i.i.d. with probability $(docv) \
@@ -159,7 +176,7 @@ let drop_rate_arg =
 let partition_arg =
   Arg.(
     value
-    & opt int 0
+    & opt non_negative 0
     & info [ "partition" ] ~docv:"ROUNDS"
         ~doc:
           "Off-model network condition: bisect the network from round 1 for $(docv) rounds \
@@ -490,13 +507,13 @@ module Service = Fba_harness.Service
 let instances_arg =
   Arg.(
     value
-    & opt int 64
+    & opt non_negative 64
     & info [ "instances" ] ~docv:"K" ~doc:"Number of BA instances to stream.")
 
 let width_arg =
   Arg.(
     value
-    & opt int 4
+    & opt positive 4
     & info [ "width" ] ~docv:"W"
         ~doc:
           "Concurrently open instances per worker domain (pipeline width). Affects only the \
@@ -512,74 +529,68 @@ let check_arg =
            count and p50/p99 against the summary; non-zero exit on mismatch.")
 
 let run_service n byz know seed attack instances width jobs check () =
-  if jobs < 0 || instances < 0 || width < 1 then begin
-    Format.eprintf "service: need --jobs >= 0, --instances >= 0, --width >= 1@.";
-    2
-  end
+  let setup =
+    { Runner.default_setup with
+      Runner.byzantine_fraction = byz;
+      knowledgeable_fraction = know }
+  in
+  let adversary sc =
+    match attack with
+    | `Silent -> Attacks.silent sc
+    | `Flood -> Attacks.(compose sc [ push_flood sc; wrong_answer sc ])
+    | `Cornering -> Attacks.cornering sc
+    | `Capture -> Attacks.quorum_capture sc
+  in
+  let stream =
+    { Service.default_stream with
+      Service.setup;
+      n;
+      stream_seed = Int64.of_int seed;
+      instances;
+      width;
+      jobs }
+  in
+  let s = Service.run ~stream ~adversary () in
+  (* Deterministic per-instance trace to stdout (byte-identical for
+     every width/jobs value); wall-clock summary to stderr. *)
+  Service.pp_trace stdout s;
+  flush stdout;
+  Printf.eprintf "[service] n=%d instances=%d width=%d jobs=%d: %.2f inst/s, p50 %.3f ms, p99 %.3f ms\n%!"
+    n instances width jobs s.Service.instances_per_sec
+    (float_of_int s.Service.p50_instance_latency_ns /. 1e6)
+    (float_of_int s.Service.p99_instance_latency_ns /. 1e6);
+  if not check then 0
   else begin
-    let setup =
-      { Runner.default_setup with
-        Runner.byzantine_fraction = byz;
-        knowledgeable_fraction = know }
+    (* Independent re-summation, mirroring the accounting checks of
+       [fba trace] and [fba profile]: rebuild the µs-bucketed
+       histogram from the raw per-instance latencies and re-derive
+       what the summary reports. *)
+    let h = Fba_stdx.Histogram.create () in
+    Array.iter
+      (fun (r : Service.instance_result) ->
+        Fba_stdx.Histogram.add h (r.Service.latency_ns / 1000))
+      s.Service.results;
+    let pct p =
+      match Fba_stdx.Histogram.percentile_opt h p with None -> 0 | Some us -> us * 1000
     in
-    let adversary sc =
-      match attack with
-      | `Silent -> Attacks.silent sc
-      | `Flood -> Attacks.(compose sc [ push_flood sc; wrong_answer sc ])
-      | `Cornering -> Attacks.cornering sc
-      | `Capture -> Attacks.quorum_capture sc
-    in
-    let stream =
-      { Service.default_stream with
-        Service.setup;
-        n;
-        stream_seed = Int64.of_int seed;
-        instances;
-        width;
-        jobs }
-    in
-    let s = Service.run ~stream ~adversary () in
-    (* Deterministic per-instance trace to stdout (byte-identical for
-       every width/jobs value); wall-clock summary to stderr. *)
-    Service.pp_trace stdout s;
-    flush stdout;
-    Printf.eprintf "[service] n=%d instances=%d width=%d jobs=%d: %.2f inst/s, p50 %.3f ms, p99 %.3f ms\n%!"
-      n instances width jobs s.Service.instances_per_sec
-      (float_of_int s.Service.p50_instance_latency_ns /. 1e6)
-      (float_of_int s.Service.p99_instance_latency_ns /. 1e6);
-    if not check then 0
+    let total = Fba_stdx.Histogram.total h in
+    if
+      total = s.Service.instances
+      && pct 50.0 = s.Service.p50_instance_latency_ns
+      && pct 99.0 = s.Service.p99_instance_latency_ns
+    then begin
+      Printf.eprintf
+        "[service] histogram check: %d samples, p50/p99 re-derivation matches the summary\n%!"
+        total;
+      0
+    end
     else begin
-      (* Independent re-summation, mirroring the accounting checks of
-         [fba trace] and [fba profile]: rebuild the µs-bucketed
-         histogram from the raw per-instance latencies and re-derive
-         what the summary reports. *)
-      let h = Fba_stdx.Histogram.create () in
-      Array.iter
-        (fun (r : Service.instance_result) ->
-          Fba_stdx.Histogram.add h (r.Service.latency_ns / 1000))
-        s.Service.results;
-      let pct p =
-        match Fba_stdx.Histogram.percentile_opt h p with None -> 0 | Some us -> us * 1000
-      in
-      let total = Fba_stdx.Histogram.total h in
-      if
-        total = s.Service.instances
-        && pct 50.0 = s.Service.p50_instance_latency_ns
-        && pct 99.0 = s.Service.p99_instance_latency_ns
-      then begin
-        Printf.eprintf
-          "[service] histogram check: %d samples, p50/p99 re-derivation matches the summary\n%!"
-          total;
-        0
-      end
-      else begin
-        Printf.eprintf
-          "[service] histogram MISMATCH: %d samples for %d instances, re-derived p50 %d / p99 \
-           %d vs summary %d / %d\n%!"
-          total s.Service.instances (pct 50.0) (pct 99.0) s.Service.p50_instance_latency_ns
-          s.Service.p99_instance_latency_ns;
-        1
-      end
+      Printf.eprintf
+        "[service] histogram MISMATCH: %d samples for %d instances, re-derived p50 %d / p99 \
+         %d vs summary %d / %d\n%!"
+        total s.Service.instances (pct 50.0) (pct 99.0) s.Service.p50_instance_latency_ns
+        s.Service.p99_instance_latency_ns;
+      1
     end
   end
 
@@ -611,7 +622,7 @@ let exp_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int 0
+    & opt non_negative 0
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for the sweep (grid cells are sharded across them; output is \
@@ -619,16 +630,10 @@ let jobs_arg =
            sequential execution.")
 
 let run_experiment which full jobs =
-  if jobs < 0 then begin
-    Format.eprintf "--jobs must be non-negative@.";
-    2
-  end
-  else begin
-    (match which with
-    | Some e -> Experiment.run ~jobs ~full e ~out:stdout ()
-    | None -> List.iter (fun e -> Experiment.run ~jobs ~full e ~out:stdout ()) experiments);
-    0
-  end
+  (match which with
+  | Some e -> Experiment.run ~jobs ~full e ~out:stdout ()
+  | None -> List.iter (fun e -> Experiment.run ~jobs ~full e ~out:stdout ()) experiments);
+  0
 
 let experiment_cmd =
   let doc = "Regenerate the paper's tables and lemma-level checks." in

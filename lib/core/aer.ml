@@ -160,17 +160,12 @@ type state = {
   pull_counts : Int_table.t;
       (* Pull dedup: label ids already routed per (x, s); capped at
          max_poll_attempts to bound the Fw1 amplification *)
-  fw1_targets : (int, (int, int) Hashtbl.t) Hashtbl.t;
-      (* Algorithm 2 second handler, per (s, x): verified w ↦ label id.
-         Stays a Hashtbl: its iteration order fixes the serve-all Fw2
-         burst's wire order, which the determinism goldens pin. Only
-         written when a target is first seen and read by the burst;
-         the per-delivery test goes through [f1_served]. *)
-  f1s_masks : Int_table.t;  (* distinct y ∈ H(s,x) seen, keyed key_sx *)
-  f1s_counts : Int_table.t;
-  f1_served : Int_table.t;
-      (* keyed (key_sx lsl id_bits) lor w: bit 0 = w is a recorded
-         target of (s, x), bit 1 = w was sent its Fw2 *)
+  f1_groups : Int_table.t;  (* key_sx -> arena offset of (s, x)'s group record *)
+  f1_targets : Int_table.t;
+      (* (key_sx lsl id_bits) lor w -> arena offset of w's target
+         record under (s, x) *)
+  mutable f1_arena : int array;  (* Fw1 group and target records, see [f1_alloc] *)
+  mutable f1_top : int;  (* first free arena word *)
   fw2_masks : Int_table.t;  (* distinct z ∈ H(s,this), keyed key_sx *)
   fw2_counts : Int_table.t;
   polled : Int_table.t;  (* Algorithm 3's Polled set: presence, key_xs *)
@@ -179,11 +174,126 @@ type state = {
   muted : int Vec.t;  (* answer-ready (s, x) keys gated by the filter *)
   deferred_src : int Vec.t;  (* belief-mismatched messages, parallel lanes *)
   deferred_msg : int Vec.t;
-  scratch_w : int Vec.t;  (* reusable buffers for the Fw1 serve-all burst *)
-  scratch_rid : int Vec.t;
+  mutable f1_scratch : int array;  (* lanes of the serve-all burst, see [fw1_burst] *)
   mutable push_sent : int;
   mutable answers_emitted : int;
 }
+
+(* Algorithm 2's second handler keeps, per (s, x), the distinct
+   senders y ∈ H(s, x) seen and the verified targets w it must serve
+   once. Both live in one bump-allocated per-node int arena, found
+   through two Int_tables, so a delivery makes two table probes and
+   allocates nothing but an arena or table doubling:
+   - the group record of (s, x), at [f1_groups] key_sx:
+     [count; head; ⌈d_h/62⌉ mask words] — count and quorum-position
+     bits of the senders, and the newest target record (-1 if none);
+   - the target record of w, at [f1_targets] (key_sx lsl id_bits) lor w:
+     [w; rid; served; next] — the label w was first verified under,
+     1 once its Fw2 went out, and the next older target of the group.
+   Arena words past [f1_top] are always 0. *)
+let f1_alloc st words =
+  let o = st.f1_top in
+  let top = o + words in
+  if top > Array.length st.f1_arena then begin
+    let a = Array.make (max 64 (max top (2 * Array.length st.f1_arena))) 0 in
+    Array.blit st.f1_arena 0 a 0 o;
+    st.f1_arena <- a
+  end;
+  st.f1_top <- top;
+  o
+
+let f1_group cfg st tkey =
+  let g = Int_table.get_or st.f1_groups tkey ~default:(-1) in
+  if g >= 0 then g
+  else begin
+    let g = f1_alloc st (2 + ((cfg.params.Params.d_h + 61) / 62)) in
+    st.f1_arena.(g + 1) <- -1;
+    Int_table.set st.f1_groups tkey g;
+    g
+  end
+
+let f1_record st ~wkey ~g ~w ~rid =
+  let t = f1_alloc st 4 in
+  let a = st.f1_arena in
+  a.(t) <- w;
+  a.(t + 1) <- rid;
+  a.(t + 3) <- a.(g + 1);
+  a.(g + 1) <- t;
+  Int_table.set st.f1_targets wkey t;
+  t
+
+(* The serve-all burst's wire order. Historically the targets sat in a
+   [Hashtbl.create 8] and the burst was a Hashtbl.fold consing as it
+   visited, so the wire is the reverse of the fold's visit order — and
+   the determinism goldens pin it. A Hashtbl holding k bindings has b
+   buckets, b = 16 doubled while k > 2b; a fold visits buckets in
+   ascending [Hashtbl.hash w land (b - 1)], newest binding first within
+   one (resizes keep that order). The wire is thus buckets descending,
+   oldest first within one: a counting sort. [a.(0 .. k-1)] holds the
+   targets' w, newest first; their indices in wire order go to
+   [a.(k .. 2k-1)], and [a.(2k .. 2k+b-1)] holds the bucket counters. *)
+let fw1_burst_buckets k =
+  let b = ref 16 in
+  while k > 2 * !b do
+    b := 2 * !b
+  done;
+  !b
+
+let fw1_burst_order_into (a : int array) k =
+  let b = fw1_burst_buckets k in
+  let cnt = 2 * k in
+  Array.fill a cnt b 0;
+  for i = 0 to k - 1 do
+    let j = cnt + (Intx.hash_int a.(i) land (b - 1)) in
+    a.(j) <- a.(j) + 1
+  done;
+  let next = ref k in
+  for j = cnt + b - 1 downto cnt do
+    let c = a.(j) in
+    a.(j) <- !next;
+    next := !next + c
+  done;
+  for i = k - 1 downto 0 do
+    let j = cnt + (Intx.hash_int a.(i) land (b - 1)) in
+    a.(a.(j)) <- i;
+    a.(j) <- a.(j) + 1
+  done
+
+let fw1_burst_order ws =
+  let k = List.length ws in
+  let a = Array.make ((2 * k) + fw1_burst_buckets k) 0 in
+  List.iteri (fun i w -> a.(i) <- w) ws;
+  fw1_burst_order_into a k;
+  List.init k (fun i -> a.(a.(k + i)))
+
+(* Majority just reached for group [g]: serve every recorded target
+   once. None was served before (serving needs the majority), so all
+   are marked; their labels ride in a third scratch lane after the
+   counters. *)
+let fw1_burst st ~emit lt ~sid ~x g =
+  let a = st.f1_arena in
+  let k = ref 0 and t = ref a.(g + 1) in
+  while !t >= 0 do
+    incr k;
+    t := a.(!t + 3)
+  done;
+  let k = !k in
+  let rids = (2 * k) + fw1_burst_buckets k in
+  if Array.length st.f1_scratch < rids + k then
+    st.f1_scratch <- Array.make (max (rids + k) (2 * Array.length st.f1_scratch)) 0;
+  let sc = st.f1_scratch in
+  t := a.(g + 1);
+  for i = 0 to k - 1 do
+    sc.(i) <- a.(!t);
+    sc.(rids + i) <- a.(!t + 1);
+    a.(!t + 2) <- 1;
+    t := a.(!t + 3)
+  done;
+  fw1_burst_order_into sc k;
+  for i = k to (2 * k) - 1 do
+    let j = sc.(i) in
+    emit sc.(j) (Packed.fw2 lt ~sid ~rid:sc.(rids + j) ~x)
+  done
 
 let name = "aer"
 
@@ -334,54 +444,43 @@ and handle_fw1 cfg st ~emit ~src p =
     let rid = Packed.rid lt p and x = Packed.x lt p and w = Packed.w lt p in
     let id = st.ctx.Fba_sim.Ctx.id in
     let s = Intern.string cfg.intern sid in
-    if Cache.mem_sid cfg.qh ~sid ~s ~x:w ~y:id then begin
+    let tkey = key_sx lt ~sid ~x in
+    let wkey = (tkey lsl lt.Msg.Layout.id_bits) lor w in
+    let t = Int_table.get_or st.f1_targets wkey ~default:(-1) in
+    (* A target recorded under this very label already passed
+       this ∈ H(s, w) and w ∈ J(x, rid), which depend on nothing else;
+       only the sender check is new. Another label is verified in full. *)
+    let proven = t >= 0 && Array.unsafe_get st.f1_arena (t + 1) = rid in
+    if proven || Cache.mem_sid cfg.qh ~sid ~s ~x:w ~y:id then begin
       (* The sender verification returns src's position in H(s, x) —
-         the index the sender-set bitmask is keyed by. *)
+         the index the group's sender mask is keyed by. *)
       let spos = Cache.pos_sid cfg.qh ~sid ~s ~x ~y:src in
-      if spos >= 0 && Cache.mem_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:w
+      if
+        spos >= 0
+        && (proven || Cache.mem_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:w)
       then begin
-        let tkey = key_sx lt ~sid ~x in
-        let wkey = (tkey lsl lt.Msg.Layout.id_bits) lor w in
+        let g = f1_group cfg st tkey in
         (* First sighting of w as a target: its label id is the one
            served, so later copies with another rid never overwrite it. *)
-        if Int_table.add_bit st.f1_served wkey ~bit:0 then begin
-          match Hashtbl.find st.fw1_targets tkey with
-          | t -> Hashtbl.add t w rid
-          | exception Not_found ->
-            let t = Hashtbl.create 8 in
-            Hashtbl.add t w rid;
-            Hashtbl.add st.fw1_targets tkey t
+        let t = if t >= 0 then t else f1_record st ~wkey ~g ~w ~rid in
+        let a = st.f1_arena in
+        let mw = g + 2 + (spos / 62) and bit = 1 lsl (spos mod 62) in
+        let newly = a.(mw) land bit = 0 in
+        if newly then begin
+          a.(mw) <- a.(mw) lor bit;
+          a.(g) <- a.(g) + 1
         end;
-        let c_new =
-          mask_add st.f1s_masks st.f1s_counts ~mult:lt.Msg.Layout.mask_mult ~key:tkey ~pos:spos
-        in
-        let newly = c_new >= 0 in
-        let c = if newly then c_new else Int_table.get_or st.f1s_counts tkey ~default:0 in
+        let c = a.(g) in
         let maj = Params.majority_h cfg.params in
         if c >= maj then begin
           mark cfg st "fw2";
-          if newly && c = maj then begin
-            (* Majority just reached: serve every verified target once.
-               The historical Hashtbl.fold consed as it visited, so the
-               wire order is the reverse of visit order — collect into
-               the scratch lanes, then emit back-to-front. *)
-            Vec.clear st.scratch_w;
-            Vec.clear st.scratch_rid;
-            Hashtbl.iter
-              (fun w rid ->
-                if Int_table.add_bit st.f1_served ((tkey lsl lt.Msg.Layout.id_bits) lor w) ~bit:1
-                then begin
-                  Vec.push st.scratch_w w;
-                  Vec.push st.scratch_rid rid
-                end)
-              (Hashtbl.find st.fw1_targets tkey);
-            for i = Vec.length st.scratch_w - 1 downto 0 do
-              emit (Vec.get st.scratch_w i)
-                (Packed.fw2 lt ~sid ~rid:(Vec.get st.scratch_rid i) ~x)
-            done
-          end
-          else if Int_table.add_bit st.f1_served wkey ~bit:1 then
+          if newly && c = maj then fw1_burst st ~emit lt ~sid ~x g
+          else if a.(t + 2) = 0 then begin
+            (* A target recorded after the majority: it was recorded by
+               this very delivery, under this rid. *)
+            a.(t + 2) <- 1;
             emit w (Packed.fw2 lt ~sid ~rid ~x)
+          end
         end
       end
     end
@@ -508,10 +607,10 @@ let init cfg ctx =
       polls = Hashtbl.create 8;
       pull_labels = Int_table.create ~capacity:32 ();
       pull_counts = Int_table.create ~capacity:32 ();
-      fw1_targets = Hashtbl.create 32;
-      f1s_masks = Int_table.create ~capacity:64 ();
-      f1s_counts = Int_table.create ~capacity:32 ();
-      f1_served = Int_table.create ~capacity:64 ();
+      f1_groups = Int_table.create ~capacity:32 ();
+      f1_targets = Int_table.create ~capacity:32 ();
+      f1_arena = [||];
+      f1_top = 0;
       fw2_masks = Int_table.create ();
       fw2_counts = Int_table.create ();
       polled = Int_table.create ~capacity:32 ();
@@ -520,8 +619,7 @@ let init cfg ctx =
       muted = Vec.create ();
       deferred_src = Vec.create ();
       deferred_msg = Vec.create ();
-      scratch_w = Vec.create ();
-      scratch_rid = Vec.create ();
+      f1_scratch = [||];
       push_sent = 0;
       answers_emitted = 0;
     }

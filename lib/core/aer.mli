@@ -99,6 +99,14 @@ val phase_of_kind : string -> string
     every message belongs to exactly one phase, per-phase bits sum to
     [Metrics.total_bits_all]. *)
 
+val fw1_burst_order : int list -> int list
+(** The wire order of Algorithm 2's serve-all Fw2 burst: given a
+    group's targets w, newest first, the order their Fw2s are emitted
+    in — exactly the list a [Hashtbl.create 8] holding them (added
+    oldest first) builds with a consing [Hashtbl.fold]. The handler
+    keeps its targets in a flat store and emulates that order, which
+    the determinism goldens pin. *)
+
 (** {2 State inspection (experiments and tests)} *)
 
 val belief : state -> string

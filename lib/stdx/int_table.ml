@@ -49,10 +49,9 @@ let grow t =
   for i = 0 to Array.length old_keys - 1 do
     let key = old_keys.(i) in
     if key >= 0 then begin
-      let j =
-        let rec free j = if t.keys.(j) = -1 then j else free ((j + 1) land t.mask) in
-        free (slot_of key t.mask)
-      in
+      (* Keys are distinct, so the probe ends on a free slot; it is
+         top-level, so rehashing allocates nothing but the two arrays. *)
+      let j = -1 - find_slot t key in
       t.keys.(j) <- key;
       t.vals.(j) <- old_vals.(i)
     end

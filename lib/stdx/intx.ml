@@ -38,3 +38,23 @@ let cdiv a b =
 (* The annotation is what makes the comparisons integer ones: the .mli
    type alone leaves the compiled body polymorphic (caml_lessthan). *)
 let clamp ~lo ~hi (x : int) = if x < lo then lo else if x > hi then hi else x
+
+(* The stdlib's hash of an int (runtime/hash.c: one MurmurHash3 mix of
+   the tagged value with seed 0, the final avalanche, then the low 30
+   bits), written out on unboxed ints so a hot path can bucket like a
+   [Hashtbl] without the polymorphic caml_hash C call. On 64-bit the
+   runtime first folds the tagged word d = 2v + 1 to 32 bits as
+   (d asr 32) lxor (d asr 63) lxor d; bits 32..63 of d are bits 31..62
+   of v. *)
+let hash_int (v : int) =
+  let m32 = 0xFFFF_FFFF in
+  let rotl x r = ((x lsl r) lor (x lsr (32 - r))) land m32 in
+  let d = ((v asr 31) lxor (v asr 62) lxor ((v lsl 1) lor 1)) land m32 in
+  let d = rotl (d * 0xcc9e2d51 land m32) 15 * 0x1b873593 land m32 in
+  let h = rotl d 13 in
+  let h = ((h * 5) + 0xe6546b64) land m32 in
+  let h = h lxor (h lsr 16) in
+  let h = h * 0x85ebca6b land m32 in
+  let h = h lxor (h lsr 13) in
+  let h = h * 0xc2b2ae35 land m32 in
+  (h lxor (h lsr 16)) land 0x3FFF_FFFF

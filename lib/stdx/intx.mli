@@ -22,3 +22,9 @@ val cdiv : int -> int -> int
 val clamp : lo:int -> hi:int -> int -> int
 (** [clamp ~lo ~hi x] bounds [x] into the inclusive interval
     [\[lo, hi\]]. *)
+
+val hash_int : int -> int
+(** [hash_int v] equals [Hashtbl.hash v] for every int [v] (the
+    runtime's MurmurHash3-based hash, in [\[0, 2^30)]), computed in
+    OCaml without the polymorphic [caml_hash] primitive, so a
+    per-delivery module can reproduce a [Hashtbl]'s bucket order. *)

@@ -379,6 +379,61 @@ let test_fw1_late_target_served_once () =
     Alcotest.check dst_label "and only once" [] (fw1 cfg st ~src:senders.(i) ~x ~g ~r ~w:w1)
   done
 
+(* A recorded target skips the two checks that depend only on (s, w,
+   this) and (x, rid, w) — but only under the label it was recorded
+   with. Resent under a label r' with w ∉ J(x, r'), it must fail
+   verification and its sender must not count; resent under another
+   label that does name w, its sender counts. *)
+let test_fw1_recorded_target_skip_is_per_label () =
+  let params, g, z, cfg, st = fw1_env () in
+  let j = Params.sampler_j params in
+  let x, r, ts = find_poll params ~g ~z ~k:1 in
+  let w = List.hd ts in
+  let label ~names =
+    let rec loop r' =
+      if Int64.compare r' 4000L > 0 then Alcotest.fail "no suitable second label"
+      else if (not (Int64.equal r' r)) && Sampler.mem_xr j ~x ~r:r' ~y:w = names then r'
+      else loop (Int64.succ r')
+    in
+    loop 1L
+  in
+  let r_bad = label ~names:false and r_ok = label ~names:true in
+  let senders = Sampler.quorum_sx (Params.sampler_h params) ~s:g ~x in
+  let maj = Params.majority_h params in
+  Alcotest.check dst_label "w recorded under r" [] (fw1 cfg st ~src:senders.(0) ~x ~g ~r ~w);
+  for i = 1 to maj - 2 do
+    Alcotest.check dst_label "verified second label counts, below majority" []
+      (fw1 cfg st ~src:senders.(i) ~x ~g ~r:r_ok ~w)
+  done;
+  Alcotest.check dst_label "w under a label whose poll list lacks it: sender not counted" []
+    (fw1 cfg st ~src:senders.(maj - 1) ~x ~g ~r:r_bad ~w);
+  Alcotest.check dst_label "the same sender under a verified label is the majority" [ (w, r) ]
+    (fw1 cfg st ~src:senders.(maj - 1) ~x ~g ~r:r_ok ~w)
+
+(* The burst's wire order is the list a consing Hashtbl.fold builds
+   over the targets (added oldest first) — across the 16 -> 32 -> 64
+   bucket doublings at 33 and 65 bindings. *)
+let prop_fw1_burst_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"fw1 burst order = Hashtbl.fold order, 1..100 targets"
+       QCheck2.Gen.(list_size (int_range 1 100) (int_bound ((1 lsl 18) - 1)))
+       (fun ws ->
+         let seen = Hashtbl.create 128 in
+         let newest_first =
+           List.filter
+             (fun w ->
+               if Hashtbl.mem seen w then false
+               else begin
+                 Hashtbl.add seen w ();
+                 true
+               end)
+             ws
+         in
+         let tbl = Hashtbl.create 8 in
+         List.iter (fun w -> Hashtbl.add tbl w ()) (List.rev newest_first);
+         let expected = Hashtbl.fold (fun w () acc -> w :: acc) tbl [] in
+         Aer.fw1_burst_order newest_first = expected))
+
 let suites =
   [
     ( "core.aer.handlers",
@@ -401,5 +456,8 @@ let suites =
           test_fw1_burst_order;
         Alcotest.test_case "fw1: a target verified after the majority gets one Fw2" `Quick
           test_fw1_late_target_served_once;
+        Alcotest.test_case "fw1: a recorded target skips checks only under its own label" `Quick
+          test_fw1_recorded_target_skip_is_per_label;
+        prop_fw1_burst_order;
       ] );
   ]

@@ -1,9 +1,10 @@
 (* The fba front-end's exit codes: a size or fraction that violates
-   Params.make/make_for's preconditions, or a population past the packed
-   message word's 2^18 ceiling, is a usage error (cmdliner's exit 124,
-   with the reason and the usage line on stderr), and an output file
-   that cannot be opened is a one-line error; neither is an "internal
-   error, uncaught exception" (exit 125). *)
+   Params.make/make_for's preconditions, a population past the packed
+   message word's 2^18 ceiling, or an option value out of its range is
+   a usage error (cmdliner's exit 124, with the reason and the usage
+   line on stderr), and an output file that cannot be opened is a
+   one-line error; neither is an "internal error, uncaught exception"
+   (exit 125). *)
 
 let fba = "../bin/fba.exe"
 
@@ -40,6 +41,21 @@ let test_params_preconditions () =
 let test_layout_ceiling () =
   check_usage_error [ "run-aer"; "-n"; "300000" ] ~mentions:"2^18 = 262144"
 
+(* Out-of-range option values stop at parsing: a drop rate outside
+   [0, 1] used to raise inside Net, a negative one or a negative
+   partition length silently ran the reliable net, and the service's
+   bounds were a hand-printed exit 2. *)
+let test_option_ranges () =
+  let prob = "is not a probability in [0, 1]" and nonneg = "is not a non-negative integer" in
+  check_usage_error [ "trace"; "-n"; "64"; "--drop-rate"; "1.5" ] ~mentions:("1.5 " ^ prob);
+  check_usage_error [ "trace"; "-n"; "64"; "--drop-rate=-1" ] ~mentions:("-1 " ^ prob);
+  check_usage_error [ "trace"; "-n"; "64"; "--drop-rate"; "nan" ] ~mentions:prob;
+  check_usage_error [ "trace"; "-n"; "64"; "--partition=-3" ] ~mentions:("-3 " ^ nonneg);
+  check_usage_error [ "service"; "--width"; "0" ] ~mentions:"0 is not a positive integer";
+  check_usage_error [ "service"; "--jobs=-1" ] ~mentions:("-1 " ^ nonneg);
+  check_usage_error [ "service"; "--instances=-5" ] ~mentions:("-5 " ^ nonneg);
+  check_usage_error [ "experiment"; "samplers"; "--jobs=-1" ] ~mentions:("-1 " ^ nonneg)
+
 let test_unwritable_jsonl () =
   let code, err = run [ "trace"; "-n"; "48"; "--jsonl"; "/nonexistent/dir/x.jsonl" ] in
   Alcotest.(check bool) "exits non-zero" true (code <> 0);
@@ -59,6 +75,8 @@ let suites =
         Alcotest.test_case "Params preconditions are usage errors" `Quick
           test_params_preconditions;
         Alcotest.test_case "n past 2^18 is a usage error" `Quick test_layout_ceiling;
+        Alcotest.test_case "out-of-range option values are usage errors" `Quick
+          test_option_ranges;
         Alcotest.test_case "unwritable --jsonl is a one-line error" `Quick
           test_unwritable_jsonl;
         Alcotest.test_case "a valid run exits 0" `Quick test_valid_run_exits_zero;

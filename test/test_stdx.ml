@@ -34,6 +34,16 @@ let test_pow_cdiv_clamp () =
   Alcotest.(check int) "clamp above" 5 (Intx.clamp ~lo:2 ~hi:5 9);
   Alcotest.(check int) "clamp inside" 3 (Intx.clamp ~lo:2 ~hi:5 3)
 
+(* Intx.hash_int is the stdlib's int hash, so it buckets exactly as a
+   Hashtbl would: over the whole int range, negatives and the extremes
+   included. *)
+let prop_hash_int =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:20_000 ~name:"hash_int = Hashtbl.hash"
+       QCheck2.Gen.(
+         oneof [ int; small_signed_int; oneofl [ 0; -1; 1; min_int; max_int; 1 lsl 31; -(1 lsl 31) ] ])
+       (fun v -> Intx.hash_int v = Hashtbl.hash v))
+
 (* --- Prng --- *)
 
 let test_prng_deterministic () =
@@ -456,6 +466,7 @@ let suites =
         Alcotest.test_case "ceil_log2" `Quick test_ceil_log2;
         Alcotest.test_case "isqrt" `Quick test_isqrt;
         Alcotest.test_case "pow/cdiv/clamp" `Quick test_pow_cdiv_clamp;
+        prop_hash_int;
       ] );
     ( "stdx.prng",
       [
