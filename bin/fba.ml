@@ -8,12 +8,6 @@ module Runner = Fba_harness.Runner
 let n_arg =
   Arg.(value & opt int 256 & info [ "n" ] ~docv:"N" ~doc:"System size (number of nodes).")
 
-let byz_arg =
-  Arg.(
-    value
-    & opt float 0.10
-    & info [ "byzantine" ] ~docv:"FRACTION" ~doc:"Byzantine fraction, below 1/3.")
-
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic seed.")
 
@@ -37,8 +31,25 @@ let non_negative = checked Arg.int ~what:"a non-negative integer" (fun v -> v >=
 let positive = checked Arg.int ~what:"a positive integer" (fun v -> v >= 1)
 let probability = checked Arg.float ~what:"a probability in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)
 
+(* The protocol's fraction preconditions (Params.make_for), checked at
+   parsing: NaN fails every comparison, so it is rejected as well. *)
+let byzantine_fraction =
+  checked Arg.float ~what:"a byzantine_fraction in [0, 1/3)" (fun f ->
+      f >= 0.0 && f < 1.0 /. 3.0)
+
+let knowledgeable_fraction =
+  checked Arg.float ~what:"a knowledgeable_fraction in (1/2, 1]" (fun f -> f > 0.5 && f <= 1.0)
+
+let byz_arg =
+  Arg.(
+    value
+    & opt byzantine_fraction 0.10
+    & info [ "byzantine" ] ~docv:"FRACTION" ~doc:"Byzantine fraction, below 1/3.")
+
 (* Params.make/make_for reject a size or fraction outside the
-   protocol's preconditions with [Invalid_argument "Params.…"], and the
+   protocol's preconditions with [Invalid_argument "Params.…"],
+   Scenario.make rejects fractions that cannot be combined (more
+   knowledgeable nodes than correct ones) with "Scenario.…", and the
    packed message word cannot address more than 2^18 nodes. A command
    built with [params_cmd] runs its body as a thunk and reports either
    as a usage error (exit 124), not as an internal error. An output
@@ -47,7 +58,9 @@ let params_cmd info body =
   let run f =
     match f () with
     | code -> `Ok code
-    | exception Invalid_argument msg when String.starts_with ~prefix:"Params." msg ->
+    | exception Invalid_argument msg
+      when String.starts_with ~prefix:"Params." msg || String.starts_with ~prefix:"Scenario." msg
+      ->
       `Error (true, msg)
     | exception Fba_core.Msg.Layout.Immediate_exhausted { n; _ } ->
       `Error
@@ -79,7 +92,7 @@ let mode_arg =
 let know_arg =
   Arg.(
     value
-    & opt float 0.85
+    & opt knowledgeable_fraction 0.85
     & info [ "knowledgeable" ] ~docv:"FRACTION"
         ~doc:"Fraction of nodes that are correct and know gstring initially (above 1/2).")
 

@@ -103,7 +103,7 @@ let pack cfg m = Packed.pack cfg.layout cfg.intern m
 let unpack cfg p = Packed.unpack cfg.layout cfg.intern p
 
 (* Small imperative helpers over Hashtbl-as-set (poll answers only —
-   everything else lives in Int_table / position masks below). *)
+   everything else lives in Int_table / the arena records below). *)
 let set () : (int, unit) Hashtbl.t = Hashtbl.create 8
 
 let set_add tbl v =
@@ -123,19 +123,25 @@ let set_card = Hashtbl.length
 let key_xs (lt : Msg.Layout.t) ~x ~sid = (x lsl lt.Msg.Layout.sid_bits) lor sid
 let key_sx (lt : Msg.Layout.t) ~sid ~x = (sid lsl lt.Msg.Layout.id_bits) lor x
 
-(* Quorum-position sets: a member is identified by its index in the
-   fixed quorum the verifying scan just walked (Cache.pos_sid), so
-   presence is one bit of a 62-bit mask at key [key * mult + pos / 62]
-   — [mult] is the layout's [mask_mult], the smallest stride clearing
-   [(max_n - 1) / 62], so slots never collide across keys for any
-   d <= n <= max_n — and cardinality lives in a parallel counter
-   table. Returns the new cardinality, or -1 if the member was already
-   present — a single table probe either way, no hashing of node ids
-   and no per-element storage. *)
-let mask_add masks counts ~mult ~key ~pos =
-  if Int_table.add_bit masks ((key * mult) + (pos / 62)) ~bit:(pos mod 62) then
-    Int_table.incr counts key
-  else -1
+(* Sender sets: the distinct members of a fixed quorum of degree d
+   seen so far, each identified by its index in the quorum the
+   verifying scan just walked (Cache.pos_sid). The record is
+   [count; ⌈d/62⌉ mask words], position p being bit p mod 62 of mask
+   word p / 62. [pos_set_add] adds a position and returns the new
+   count, or -1 if it was already there: no hashing of node ids and no
+   per-element storage. *)
+let pos_set_words d = 1 + ((d + 61) / 62)
+
+let pos_set_add (a : int array) o ~pos =
+  let mw = o + 1 + (pos / 62) and bit = 1 lsl (pos mod 62) in
+  let m = a.(mw) in
+  if m land bit <> 0 then -1
+  else begin
+    a.(mw) <- m lor bit;
+    let c = a.(o) + 1 in
+    a.(o) <- c;
+    c
+  end
 
 (* An outstanding poll of Algorithm 1, with the optional re-poll
    extension state (Params.max_poll_attempts). *)
@@ -153,8 +159,7 @@ type state = {
   mutable belief : int;  (* s_this, as an interned id *)
   mutable decided_sid : int;  (* -1 while undecided *)
   candidates : Int_table.t;  (* L_x: presence keyed by sid *)
-  push_masks : Int_table.t;  (* distinct senders ∈ I(s, this), keyed sid *)
-  push_counts : Int_table.t;
+  push_sets : Int_table.t;  (* sid -> arena offset of the senders ∈ I(s, this) *)
   polls : (int, poll) Hashtbl.t;
   pull_labels : Int_table.t;  (* presence: (key_xs lsl 20) lor rid *)
   pull_counts : Int_table.t;
@@ -164,10 +169,9 @@ type state = {
   f1_targets : Int_table.t;
       (* (key_sx lsl id_bits) lor w -> arena offset of w's target
          record under (s, x) *)
-  mutable f1_arena : int array;  (* Fw1 group and target records, see [f1_alloc] *)
-  mutable f1_top : int;  (* first free arena word *)
-  fw2_masks : Int_table.t;  (* distinct z ∈ H(s,this), keyed key_sx *)
-  fw2_counts : Int_table.t;
+  fw2_sets : Int_table.t;  (* key_sx -> arena offset of the senders z ∈ H(s, this) *)
+  mutable arena : int array;  (* sender sets, Fw1 groups and targets, see [alloc] *)
+  mutable top : int;  (* first free arena word *)
   polled : Int_table.t;  (* Algorithm 3's Polled set: presence, key_xs *)
   answer_counts : Int_table.t;  (* Count_s, keyed sid *)
   answered : Int_table.t;  (* presence: key_xs *)
@@ -179,46 +183,63 @@ type state = {
   mutable answers_emitted : int;
 }
 
-(* Algorithm 2's second handler keeps, per (s, x), the distinct
-   senders y ∈ H(s, x) seen and the verified targets w it must serve
-   once. Both live in one bump-allocated per-node int arena, found
-   through two Int_tables, so a delivery makes two table probes and
-   allocates nothing but an arena or table doubling:
-   - the group record of (s, x), at [f1_groups] key_sx:
-     [count; head; ⌈d_h/62⌉ mask words] — count and quorum-position
-     bits of the senders, and the newest target record (-1 if none);
-   - the target record of w, at [f1_targets] (key_sx lsl id_bits) lor w:
-     [w; rid; served; next] — the label w was first verified under,
-     1 once its Fw2 went out, and the next older target of the group.
-   Arena words past [f1_top] are always 0. *)
-let f1_alloc st words =
-  let o = st.f1_top in
+(* A node's sender sets and Fw1 records live in one bump-allocated
+   per-node int arena, each found through one Int_table, so a delivery
+   probes one table for its sender set and allocates nothing but an
+   arena or table doubling:
+   - push, at [push_sets] sid: the sender set of I(s, this);
+   - Fw2, at [fw2_sets] key_sx: the sender set of H(s, this);
+   - Algorithm 2's second handler keeps, per (s, x), the senders
+     y ∈ H(s, x) seen and the verified targets w it must serve once:
+     - the group record of (s, x), at [f1_groups] key_sx:
+       [head; sender set of H(s, x)] — the newest target record (-1 if
+       none), then the set;
+     - the target record of w, at [f1_targets] (key_sx lsl id_bits) lor w:
+       [w; (rid lsl 1) lor served; next; g] — the label w was first
+       verified under, with bit 0 set once its Fw2 went out (a fifth
+       word would push more arenas past a doubling), the next older
+       target of the group, and the group record, so a recorded target
+       needs no [f1_groups] probe.
+   Arena words past [top] are always 0, so a fresh set is empty. *)
+let alloc st words =
+  let o = st.top in
   let top = o + words in
-  if top > Array.length st.f1_arena then begin
-    let a = Array.make (max 64 (max top (2 * Array.length st.f1_arena))) 0 in
-    Array.blit st.f1_arena 0 a 0 o;
-    st.f1_arena <- a
+  if top > Array.length st.arena then begin
+    let a = Array.make (max 64 (max top (2 * Array.length st.arena))) 0 in
+    Array.blit st.arena 0 a 0 o;
+    st.arena <- a
   end;
-  st.f1_top <- top;
+  st.top <- top;
   o
+
+(* The sender set at [key] of [tbl], allocated empty on first use. *)
+let sender_set st tbl key ~d =
+  let o = Int_table.get_or tbl key ~default:(-1) in
+  if o >= 0 then o
+  else begin
+    let o = alloc st (pos_set_words d) in
+    Int_table.set tbl key o;
+    o
+  end
 
 let f1_group cfg st tkey =
   let g = Int_table.get_or st.f1_groups tkey ~default:(-1) in
   if g >= 0 then g
   else begin
-    let g = f1_alloc st (2 + ((cfg.params.Params.d_h + 61) / 62)) in
-    st.f1_arena.(g + 1) <- -1;
+    let g = alloc st (1 + pos_set_words cfg.params.Params.d_h) in
+    st.arena.(g) <- -1;
     Int_table.set st.f1_groups tkey g;
     g
   end
 
 let f1_record st ~wkey ~g ~w ~rid =
-  let t = f1_alloc st 4 in
-  let a = st.f1_arena in
+  let t = alloc st 4 in
+  let a = st.arena in
   a.(t) <- w;
-  a.(t + 1) <- rid;
-  a.(t + 3) <- a.(g + 1);
-  a.(g + 1) <- t;
+  a.(t + 1) <- rid lsl 1;
+  a.(t + 2) <- a.(g);
+  a.(t + 3) <- g;
+  a.(g) <- t;
   Int_table.set st.f1_targets wkey t;
   t
 
@@ -271,23 +292,23 @@ let fw1_burst_order ws =
    are marked; their labels ride in a third scratch lane after the
    counters. *)
 let fw1_burst st ~emit lt ~sid ~x g =
-  let a = st.f1_arena in
-  let k = ref 0 and t = ref a.(g + 1) in
+  let a = st.arena in
+  let k = ref 0 and t = ref a.(g) in
   while !t >= 0 do
     incr k;
-    t := a.(!t + 3)
+    t := a.(!t + 2)
   done;
   let k = !k in
   let rids = (2 * k) + fw1_burst_buckets k in
   if Array.length st.f1_scratch < rids + k then
     st.f1_scratch <- Array.make (max (rids + k) (2 * Array.length st.f1_scratch)) 0;
   let sc = st.f1_scratch in
-  t := a.(g + 1);
+  t := a.(g);
   for i = 0 to k - 1 do
     sc.(i) <- a.(!t);
-    sc.(rids + i) <- a.(!t + 1);
-    a.(!t + 2) <- 1;
-    t := a.(!t + 3)
+    sc.(rids + i) <- a.(!t + 1) lsr 1;
+    a.(!t + 1) <- a.(!t + 1) lor 1;
+    t := a.(!t + 2)
   done;
   fw1_burst_order_into sc k;
   for i = k to (2 * k) - 1 do
@@ -358,8 +379,9 @@ let try_answer cfg st ~emit sid x =
   if
     Int_table.mem st.polled (key_xs lt ~x ~sid)
     && (not (Int_table.mem st.answered (key_xs lt ~x ~sid)))
-    && Int_table.get_or st.fw2_counts (key_sx lt ~sid ~x) ~default:0
-       >= Params.majority_h cfg.params
+    &&
+    let o = Int_table.get_or st.fw2_sets (key_sx lt ~sid ~x) ~default:(-1) in
+    o >= 0 && st.arena.(o) >= Params.majority_h cfg.params
   then begin
     let cnt = Int_table.get_or st.answer_counts sid ~default:0 in
     if st.decided_sid >= 0 || cnt < cfg.params.Params.pull_filter then begin
@@ -378,10 +400,8 @@ let rec handle_push cfg st ~emit ~src sid =
     let id = st.ctx.Fba_sim.Ctx.id in
     let pos = Cache.pos_sid cfg.qi ~sid ~s:(Intern.string cfg.intern sid) ~x:id ~y:src in
     if pos >= 0 then begin
-      let c =
-        mask_add st.push_masks st.push_counts ~mult:cfg.layout.Msg.Layout.mask_mult ~key:sid ~pos
-      in
-      if c >= Params.majority_i cfg.params then begin
+      let o = sender_set st st.push_sets sid ~d:cfg.params.Params.d_i in
+      if pos_set_add st.arena o ~pos >= Params.majority_i cfg.params then begin
         ignore (Int_table.add st.candidates sid);
         issue_poll cfg st ~emit sid
       end
@@ -450,7 +470,7 @@ and handle_fw1 cfg st ~emit ~src p =
     (* A target recorded under this very label already passed
        this ∈ H(s, w) and w ∈ J(x, rid), which depend on nothing else;
        only the sender check is new. Another label is verified in full. *)
-    let proven = t >= 0 && Array.unsafe_get st.f1_arena (t + 1) = rid in
+    let proven = t >= 0 && Array.unsafe_get st.arena (t + 1) lsr 1 = rid in
     if proven || Cache.mem_sid cfg.qh ~sid ~s ~x:w ~y:id then begin
       (* The sender verification returns src's position in H(s, x) —
          the index the group's sender mask is keyed by. *)
@@ -459,26 +479,22 @@ and handle_fw1 cfg st ~emit ~src p =
         spos >= 0
         && (proven || Cache.mem_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:w)
       then begin
-        let g = f1_group cfg st tkey in
         (* First sighting of w as a target: its label id is the one
            served, so later copies with another rid never overwrite it. *)
+        let g = if t >= 0 then st.arena.(t + 3) else f1_group cfg st tkey in
         let t = if t >= 0 then t else f1_record st ~wkey ~g ~w ~rid in
-        let a = st.f1_arena in
-        let mw = g + 2 + (spos / 62) and bit = 1 lsl (spos mod 62) in
-        let newly = a.(mw) land bit = 0 in
-        if newly then begin
-          a.(mw) <- a.(mw) lor bit;
-          a.(g) <- a.(g) + 1
-        end;
-        let c = a.(g) in
+        let a = st.arena in
+        let c = pos_set_add a (g + 1) ~pos:spos in
+        let newly = c >= 0 in
+        let c = if newly then c else a.(g + 1) in
         let maj = Params.majority_h cfg.params in
         if c >= maj then begin
           mark cfg st "fw2";
           if newly && c = maj then fw1_burst st ~emit lt ~sid ~x g
-          else if a.(t + 2) = 0 then begin
+          else if a.(t + 1) land 1 = 0 then begin
             (* A target recorded after the majority: it was recorded by
                this very delivery, under this rid. *)
-            a.(t + 2) <- 1;
+            a.(t + 1) <- a.(t + 1) lor 1;
             emit w (Packed.fw2 lt ~sid ~rid ~x)
           end
         end
@@ -496,11 +512,8 @@ and handle_fw2 cfg st ~emit ~src p =
     if Cache.mem_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:id then begin
       let spos = Cache.pos_sid cfg.qh ~sid ~s:(Intern.string cfg.intern sid) ~x:id ~y:src in
       if spos >= 0 then begin
-        let c =
-          mask_add st.fw2_masks st.fw2_counts ~mult:lt.Msg.Layout.mask_mult
-            ~key:(key_sx lt ~sid ~x) ~pos:spos
-        in
-        if c >= 0 then try_answer cfg st ~emit sid x
+        let o = sender_set st st.fw2_sets (key_sx lt ~sid ~x) ~d:cfg.params.Params.d_h in
+        if pos_set_add st.arena o ~pos:spos >= 0 then try_answer cfg st ~emit sid x
       end
     end
   end
@@ -548,9 +561,11 @@ and decide cfg st ~emit sid =
      what the calendar still holds in flight. Dropping their storage —
      not just their lengths — bounds per-node state after decision by
      the serve-side tables that must stay live (pull/fw1/fw2), which is
-     what keeps decided nodes cheap while stragglers catch up. *)
-  Int_table.reset st.push_masks;
-  Int_table.reset st.push_counts;
+     what keeps decided nodes cheap while stragglers catch up. The push
+     sender sets' arena records (a few words per candidate string)
+     stay allocated: the bump arena frees nothing, only their index
+     goes. *)
+  Int_table.reset st.push_sets;
   Hashtbl.reset st.polls;
   Vec.reset st.deferred_src;
   Vec.reset st.deferred_msg
@@ -602,17 +617,15 @@ let init cfg ctx =
       belief = sid0;
       decided_sid = -1;
       candidates = Int_table.create ();
-      push_masks = Int_table.create ();
-      push_counts = Int_table.create ();
+      push_sets = Int_table.create ();
       polls = Hashtbl.create 8;
       pull_labels = Int_table.create ~capacity:32 ();
       pull_counts = Int_table.create ~capacity:32 ();
       f1_groups = Int_table.create ~capacity:32 ();
       f1_targets = Int_table.create ~capacity:32 ();
-      f1_arena = [||];
-      f1_top = 0;
-      fw2_masks = Int_table.create ();
-      fw2_counts = Int_table.create ();
+      fw2_sets = Int_table.create ();
+      arena = [||];
+      top = 0;
       polled = Int_table.create ~capacity:32 ();
       answer_counts = Int_table.create ();
       answered = Int_table.create ~capacity:32 ();

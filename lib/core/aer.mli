@@ -107,6 +107,18 @@ val fw1_burst_order : int list -> int list
     keeps its targets in a flat store and emulates that order, which
     the determinism goldens pin. *)
 
+val pos_set_words : int -> int
+(** Words of a sender-set record for a quorum of degree [d]: a count,
+    then [⌈d/62⌉] mask words. The handlers keep the distinct senders
+    of each push, Fw1 and Fw2 quorum as such a record in a per-node
+    arena, a sender being its position in the quorum. *)
+
+val pos_set_add : int array -> int -> pos:int -> int
+(** [pos_set_add a o ~pos] adds quorum position [pos] (0 ≤ pos < d) to
+    the sender-set record at offset [o] of [a] (zero words are the
+    empty set) and returns the set's new cardinality, or [-1] if [pos]
+    was already in it. Touches no word outside the record. *)
+
 (** {2 State inspection (experiments and tests)} *)
 
 val belief : state -> string

@@ -60,6 +60,11 @@ let run_phase1 ?(mode = `Rushing) ?aeba_adversary ?events ~n ~seed ~byzantine_fr
 
 let run_sync ?(mode = `Rushing) ?aeba_adversary ?aer_adversary ?per_run_miss ?events ~n ~seed
     ~byzantine_fraction () =
+  (* Phase 2 validates through Params.make_for, but phase 1 would run
+     first on any fraction, and a corrupted set past n fails inside the
+     sampler: check up front. *)
+  if not (byzantine_fraction >= 0.0 && byzantine_fraction < 1.0 /. 3.0) then
+    invalid_arg "Ba.run_sync: byzantine_fraction must be in [0, 1/3)";
   let phase1 = run_phase1 ~mode ?aeba_adversary ?events ~n ~seed ~byzantine_fraction () in
   let corrupted = phase1.p1_corrupted in
   let mask = Array.init n (fun i -> not (Bitset.mem corrupted i)) in

@@ -58,9 +58,11 @@ let size_quorum ~n ~bad_fraction ~budget =
 
 let make_for ?(per_run_miss = 0.05) ?gstring_bits ?pull_filter ?max_poll_attempts
     ?repoll_timeout ~n ~seed ~byzantine_fraction ~knowledgeable_fraction () =
-  if byzantine_fraction < 0.0 || byzantine_fraction >= 1.0 /. 3.0 then
+  (* Written as "not in range" so that NaN, for which every comparison
+     is false, is rejected too. *)
+  if not (byzantine_fraction >= 0.0 && byzantine_fraction < 1.0 /. 3.0) then
     invalid_arg "Params.make_for: byzantine_fraction must be in [0, 1/3)";
-  if knowledgeable_fraction <= 0.5 || knowledgeable_fraction > 1.0 then
+  if not (knowledgeable_fraction > 0.5 && knowledgeable_fraction <= 1.0) then
     invalid_arg "Params.make_for: knowledgeable_fraction must be in (1/2, 1]";
   let d_i = size_quorum ~n ~bad_fraction:(1.0 -. knowledgeable_fraction) ~budget:per_run_miss in
   let d_hj = size_quorum ~n ~bad_fraction:byzantine_fraction ~budget:per_run_miss in

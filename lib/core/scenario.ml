@@ -65,9 +65,10 @@ let random_string rng bits = Bytes.unsafe_to_string (Prng.bits rng bits)
 let make ?(junk = Junk_unique) ?gstring ?layout ?intern ~(params : Params.t) ~rng
     ~byzantine_fraction ~knowledgeable_fraction () =
   let n = params.Params.n in
-  if byzantine_fraction < 0.0 || byzantine_fraction >= 1.0 /. 3.0 then
+  (* "Not in range", so that NaN is rejected too. *)
+  if not (byzantine_fraction >= 0.0 && byzantine_fraction < 1.0 /. 3.0) then
     invalid_arg "Scenario.make: byzantine_fraction must be in [0, 1/3)";
-  if knowledgeable_fraction <= 0.5 || knowledgeable_fraction > 1.0 then
+  if not (knowledgeable_fraction > 0.5 && knowledgeable_fraction <= 1.0) then
     invalid_arg "Scenario.make: knowledgeable_fraction must be in (1/2, 1]";
   let t = int_of_float (byzantine_fraction *. float_of_int n) in
   let k = int_of_float (ceil (knowledgeable_fraction *. float_of_int n)) in

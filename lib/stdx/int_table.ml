@@ -1,7 +1,7 @@
 (* Open-addressing int -> int table, the immediate-key twin of
    I64_table. Keys are non-negative packed identifiers (sid, (x, s)
-   pairs, bitmask slots), so -1 works as the empty-slot marker and the
-   whole table is two unboxed int arrays — no Bytes occupancy plane,
+   pairs, (s, x, w) triples), so -1 works as the empty-slot marker and
+   the whole table is two unboxed int arrays — no Bytes occupancy plane,
    no boxing, no per-entry allocation. Used as the protocol's set and
    counter representation, where Hashtbl's per-probe hashing and
    per-add bucket cons dominate the delivery path. *)
@@ -24,9 +24,12 @@ let create ?(capacity = initial_capacity) () =
 
 let length t = t.count
 
-(* Fibonacci multiplicative hashing: packed keys are structured (field
-   concatenations), so low bits alone would cluster. *)
-let slot_of key mask = key * 0x9E3779B97F4A7C1 lsr 30 land mask
+(* Fibonacci multiplicative hashing: packed keys are field
+   concatenations ((g lsl 13) lor w, (x lsl 13) lor sid), so a slot
+   taken from the key's low bits would cluster on the low field. The
+   product's bits 30 and up mix every key bit; the parentheses matter,
+   since [lsr] binds tighter than [*]. *)
+let slot_of key mask = (key * 0x9E3779B97F4A7C1) lsr 30 land mask
 
 let rec probe keys key mask i =
   let k = Array.unsafe_get keys i in
@@ -35,6 +38,13 @@ let rec probe keys key mask i =
 let find_slot t key = probe t.keys key t.mask (slot_of key t.mask)
 
 let mem t key = find_slot t key >= 0
+
+let probe_length t key =
+  let rec go i n =
+    let k = Array.unsafe_get t.keys i in
+    if k = key || k = -1 then n else go ((i + 1) land t.mask) (n + 1)
+  in
+  go (slot_of key t.mask) 1
 
 let get_or t key ~default =
   let i = find_slot t key in
@@ -71,8 +81,7 @@ let set t key v =
 
 (* Set-flavoured entry points: [add] is first-insertion detection (the
    value plane is unused), [incr] is an in-place counter bump returning
-   the new count, [add_bit] maintains a 62-bit presence mask. All three
-   are single-probe on the hit path. *)
+   the new count. Both are single-probe on the hit path. *)
 
 let add t key =
   if key < 0 then invalid_arg "Int_table.add: negative key";
@@ -104,27 +113,6 @@ let incr t key =
     1
   end
 
-let add_bit t key ~bit =
-  if key < 0 then invalid_arg "Int_table.add_bit: negative key";
-  if 2 * (t.count + 1) > t.mask + 1 then grow t;
-  let b = 1 lsl bit in
-  let i = find_slot t key in
-  if i >= 0 then begin
-    let v = t.vals.(i) in
-    if v land b <> 0 then false
-    else begin
-      t.vals.(i) <- v lor b;
-      true
-    end
-  end
-  else begin
-    let i = -1 - i in
-    t.keys.(i) <- key;
-    t.vals.(i) <- b;
-    t.count <- t.count + 1;
-    true
-  end
-
 let clear t =
   Array.fill t.keys 0 (Array.length t.keys) (-1);
   t.count <- 0
@@ -134,8 +122,6 @@ let reset t =
   t.vals <- Array.make initial_capacity 0;
   t.mask <- initial_capacity - 1;
   t.count <- 0
-
-let capacity_words t = 2 * (t.mask + 1)
 
 let iter f t =
   for i = 0 to Array.length t.keys - 1 do

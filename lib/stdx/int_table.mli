@@ -2,12 +2,15 @@
     of {!I64_table}.
 
     Keys are non-negative packed identifiers (interned ids, packed
-    (x, s) pairs, bitmask slots); [-1] marks an empty slot, so the
-    table is two unboxed int arrays with no occupancy side plane and
-    no allocation on any operation except growth. The protocol's
-    per-node sets and counters use it in place of [Hashtbl], whose
-    per-probe hashing and per-binding bucket cons dominate the message
-    delivery path at sweep sizes. *)
+    (x, s) pairs and (s, x, w) triples, poll-label keys); [-1] marks
+    an empty slot, so the table is two unboxed int arrays with no
+    occupancy side plane and no allocation on any operation except
+    growth. A key's home slot is the top bits of its Fibonacci product
+    (key × 0x9E3779B97F4A7C1, bits 30 up), which depend on every field
+    of a packed key; collisions probe linearly, and the load stays at
+    most 1/2. The protocol's per-node sets and counters use it in
+    place of [Hashtbl], whose per-probe hashing and per-binding bucket
+    cons dominate the message delivery path at sweep sizes. *)
 
 type t
 
@@ -18,6 +21,12 @@ val length : t -> int
 (** Number of distinct keys present. *)
 
 val mem : t -> int -> bool
+
+val probe_length : t -> int -> int
+(** Slots a lookup of the key reads: from its home slot to the slot
+    holding it, or to the first empty slot if it is absent (so at
+    least 1). Read-only; a measure of how well the slot hash spreads
+    the keys. *)
 
 val get_or : t -> int -> default:int -> int
 (** Value bound to the key, or [default] if absent. Allocation-free. *)
@@ -34,12 +43,6 @@ val incr : t -> int -> int
 (** Bump the key's counter in place (absent counts as 0) and return
     the new value. *)
 
-val add_bit : t -> int -> bit:int -> bool
-(** Treat the key's value as a presence mask: set bit [bit]
-    (0 ≤ bit < 62) and return [true] iff it was clear. One probe.
-    Together with a counter kept via {!incr} this represents sets of
-    quorum positions without per-element storage. *)
-
 val clear : t -> unit
 (** Remove every binding, keeping the storage. *)
 
@@ -47,10 +50,6 @@ val reset : t -> unit
 (** Remove every binding {e and} shrink the storage back to the
     initial capacity — the state-eviction path: a table whose rows can
     no longer be referenced gives its words back to the GC. *)
-
-val capacity_words : t -> int
-(** Words currently held by the two backing arrays (2 × capacity) —
-    the retained footprint, for peak-memory accounting. *)
 
 val iter : (int -> int -> unit) -> t -> unit
 (** Iterate bindings in unspecified (slot) order. *)

@@ -434,6 +434,43 @@ let prop_fw1_burst_order =
          let expected = Hashtbl.fold (fun w () acc -> w :: acc) tbl [] in
          Aer.fw1_burst_order newest_first = expected))
 
+(* A sender set is [count; ⌈d/62⌉ mask words]: across d = 1..200 the
+   positions span up to four mask words. The record sits inside a
+   larger array, between words it must never touch. *)
+let prop_pos_set_add =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"Aer.pos_set_add = a Hashtbl set, d in 1..200"
+       ~print:QCheck2.Print.(triple int int (list int))
+       QCheck2.Gen.(
+         int_range 1 200 >>= fun d ->
+         triple (return d) (int_range 0 3) (list_size (int_range 0 400) (int_bound (d - 1))))
+       (fun (d, off, positions) ->
+         let words = Aer.pos_set_words d in
+         let guard = -7 in
+         let a = Array.make (off + words + 2) guard in
+         Array.fill a off words 0;
+         let model = Hashtbl.create 16 in
+         let agrees =
+           List.for_all
+             (fun pos ->
+               let expected =
+                 if Hashtbl.mem model pos then -1
+                 else begin
+                   Hashtbl.add model pos ();
+                   Hashtbl.length model
+                 end
+               in
+               Aer.pos_set_add a off ~pos = expected)
+             positions
+         in
+         let untouched i = a.(i) = guard in
+         agrees
+         && words = 1 + ((d + 61) / 62)
+         && a.(off) = Hashtbl.length model
+         && List.for_all untouched (List.init off Fun.id)
+         && untouched (off + words)
+         && untouched (off + words + 1)))
+
 let suites =
   [
     ( "core.aer.handlers",
@@ -459,5 +496,6 @@ let suites =
         Alcotest.test_case "fw1: a recorded target skips checks only under its own label" `Quick
           test_fw1_recorded_target_skip_is_per_label;
         prop_fw1_burst_order;
+        prop_pos_set_add;
       ] );
   ]

@@ -56,6 +56,34 @@ let test_option_ranges () =
   check_usage_error [ "service"; "--instances=-5" ] ~mentions:("-5 " ^ nonneg);
   check_usage_error [ "experiment"; "samplers"; "--jobs=-1" ] ~mentions:("-1 " ^ nonneg)
 
+(* --byzantine and --knowledgeable are checked at parsing on every
+   command. run-ba used to raise inside phase 1's sampler on a fraction
+   past [0, 1] and to run phase 1 alone (exit 0 or 1) on one in
+   [1/3, 1]; NaN fails every comparison, so it passed the preconditions
+   and ran. A pair of fractions that cannot both hold (more
+   knowledgeable nodes than correct ones) is a usage error too. *)
+let test_fraction_ranges () =
+  let byz = "is not a byzantine_fraction in [0, 1/3)"
+  (* cmdliner wraps the longer message before its range. *)
+  and know = "is not a knowledgeable_fraction" in
+  check_usage_error [ "run-ba"; "-n"; "64"; "--byzantine=1.5" ] ~mentions:("1.5 " ^ byz);
+  check_usage_error [ "run-ba"; "-n"; "64"; "--byzantine=-0.2" ] ~mentions:("-0.2 " ^ byz);
+  check_usage_error [ "run-ba"; "-n"; "64"; "--byzantine"; "0.5" ] ~mentions:("0.5 " ^ byz);
+  check_usage_error [ "run-ba"; "-n"; "64"; "--byzantine"; "0.9" ] ~mentions:("0.9 " ^ byz);
+  check_usage_error [ "run-ba"; "-n"; "64"; "--byzantine"; "1.0" ] ~mentions:("1.0 " ^ byz);
+  check_usage_error [ "run-ba"; "-n"; "64"; "--byzantine"; "0.34" ] ~mentions:("0.34 " ^ byz);
+  List.iter
+    (fun cmd -> check_usage_error [ cmd; "-n"; "64"; "--byzantine=nan" ] ~mentions:("nan " ^ byz))
+    [ "run-aer"; "run-ba"; "trace"; "profile"; "service" ];
+  List.iter
+    (fun cmd ->
+      check_usage_error [ cmd; "-n"; "64"; "--knowledgeable=nan" ] ~mentions:("nan " ^ know))
+    [ "run-aer"; "trace"; "profile"; "service" ];
+  check_usage_error [ "run-aer"; "-n"; "64"; "--knowledgeable"; "1.5" ] ~mentions:("1.5 " ^ know);
+  check_usage_error
+    [ "run-aer"; "-n"; "64"; "--byzantine"; "0.3"; "--knowledgeable"; "0.9" ]
+    ~mentions:"more knowledgeable nodes requested than correct nodes exist"
+
 let test_unwritable_jsonl () =
   let code, err = run [ "trace"; "-n"; "48"; "--jsonl"; "/nonexistent/dir/x.jsonl" ] in
   Alcotest.(check bool) "exits non-zero" true (code <> 0);
@@ -77,6 +105,8 @@ let suites =
         Alcotest.test_case "n past 2^18 is a usage error" `Quick test_layout_ceiling;
         Alcotest.test_case "out-of-range option values are usage errors" `Quick
           test_option_ranges;
+        Alcotest.test_case "out-of-range or NaN fractions are usage errors" `Quick
+          test_fraction_ranges;
         Alcotest.test_case "unwritable --jsonl is a one-line error" `Quick
           test_unwritable_jsonl;
         Alcotest.test_case "a valid run exits 0" `Quick test_valid_run_exits_zero;

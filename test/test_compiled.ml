@@ -33,7 +33,7 @@ module Packed = Msg.Packed
 
 (* --- Int_table vs Hashtbl model --- *)
 
-type iop = Set of int * int | Add of int | Incr of int | Add_bit of int * int | Mem of int | Clear
+type iop = Set of int * int | Add of int | Incr of int | Mem of int | Clear
 
 let gen_iop =
   let open QCheck2.Gen in
@@ -45,7 +45,6 @@ let gen_iop =
       map2 (fun k v -> Set (k, v)) k (int_range 0 1000);
       map (fun k -> Add k) k;
       map (fun k -> Incr k) k;
-      map2 (fun k b -> Add_bit (k, b)) k (int_range 0 61);
       map (fun k -> Mem k) k;
       return Clear;
     ]
@@ -76,11 +75,6 @@ let prop_int_table =
                  let v' = (match Hashtbl.find_opt model k with Some v -> v | None -> 0) + 1 in
                  Hashtbl.replace model k v';
                  v = v'
-               | Add_bit (k, b) ->
-                 let fresh = Int_table.add_bit t k ~bit:b in
-                 let prev = match Hashtbl.find_opt model k with Some v -> v | None -> 0 in
-                 Hashtbl.replace model k (prev lor (1 lsl b));
-                 fresh = (prev land (1 lsl b) = 0)
                | Mem k -> Int_table.mem t k = Hashtbl.mem model k
                | Clear ->
                  Int_table.clear t;
@@ -90,7 +84,7 @@ let prop_int_table =
              ok
              && Int_table.length t = Hashtbl.length model
              && (match op with
-                | Set (k, _) | Add k | Incr k | Add_bit (k, _) | Mem k ->
+                | Set (k, _) | Add k | Incr k | Mem k ->
                   Int_table.get_or t k ~default:min_int = get_m k
                 | Clear -> true))
            ops))
@@ -104,8 +98,37 @@ let test_int_table_negative () =
   in
   rejects "set" (fun () -> Int_table.set t (-1) 0);
   rejects "add" (fun () -> ignore (Int_table.add t (-3)));
-  rejects "incr" (fun () -> ignore (Int_table.incr t (-1)));
-  rejects "add_bit" (fun () -> ignore (Int_table.add_bit t (-1) ~bit:0))
+  rejects "incr" (fun () -> ignore (Int_table.incr t (-1)))
+
+(* --- Int_table slot spread --- *)
+
+(* The handlers' packed keys carry their low field in the key's low
+   bits: (key_sx lsl 13) lor w for one node's Fw1 targets, and
+   (x lsl 13) lor sid for its per-(x, s) sets. A slot hash that reads
+   only low key bits — the multiply applied after the shift,
+   key * (C lsr 30), whose even factor also halves the slots — piles
+   every key sharing that field onto one home slot. Lookups of either
+   shape must stay near one slot. *)
+let mean_probe_length keys =
+  let t = Int_table.create ~capacity:32 () in
+  List.iter (fun k -> Int_table.set t k 0) keys;
+  List.iter (fun k -> if not (Int_table.mem t k) then Alcotest.failf "key %d lost" k) keys;
+  let slots = List.fold_left (fun acc k -> acc + Int_table.probe_length t k) 0 keys in
+  float_of_int slots /. float_of_int (List.length keys)
+
+let test_int_table_spread () =
+  let sid = 3 in
+  let ws = List.init 30 (fun i -> ((i * 331) + 17) mod 1024) in
+  let groups = List.init 20 (fun j -> (sid lsl 13) lor (((j * 97) + 5) mod 1024)) in
+  let f1_targets = List.concat_map (fun g -> List.map (fun w -> (g lsl 13) lor w) ws) groups in
+  let key_xs = List.init 600 (fun i -> (((i * 7) + 1) lsl 13) lor sid) in
+  List.iter
+    (fun (name, keys) ->
+      let mean = mean_probe_length keys in
+      if mean > 2.0 then
+        Alcotest.failf "%s: %d keys read %.2f slots per lookup (bound 2)" name (List.length keys)
+          mean)
+    [ ("f1_targets-shaped keys", f1_targets); ("key_xs keys sharing one sid", key_xs) ]
 
 (* --- Shared scenario fixtures --- *)
 
@@ -355,8 +378,12 @@ let prop_async_compile_identical =
 let suites =
   [
     ( "compiled.int_table",
-      [ prop_int_table; Alcotest.test_case "negative keys rejected" `Quick test_int_table_negative ]
-    );
+      [
+        prop_int_table;
+        Alcotest.test_case "negative keys rejected" `Quick test_int_table_negative;
+        Alcotest.test_case "packed keys spread: about one slot per lookup" `Quick
+          test_int_table_spread;
+      ] );
     ( "compiled.tables",
       [
         Alcotest.test_case "pos_sid/pos_rid agree with the mem oracles" `Quick test_pos_oracles;

@@ -25,6 +25,34 @@ let test_params_validation () =
       ignore
         (Params.make_for ~n:64 ~seed:1L ~byzantine_fraction:0.34 ~knowledgeable_fraction:0.6 ()))
 
+(* NaN fails every comparison, so a precondition written as
+   [f < lo || f >= hi] lets it through; and Ba.run_sync ran phase 1 on
+   any fraction before phase 2's check. *)
+let test_fractions_reject_nan () =
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let params = Params.make ~n:64 ~seed:1L () in
+  List.iter
+    (fun (byz, know) ->
+      let case = Printf.sprintf "byz=%g know=%g" byz know in
+      raises ("Params.make_for " ^ case) (fun () ->
+          ignore
+            (Params.make_for ~n:64 ~seed:1L ~byzantine_fraction:byz ~knowledgeable_fraction:know
+               ()));
+      raises ("Scenario.make " ^ case) (fun () ->
+          ignore
+            (Scenario.make ~params ~rng:(Prng.create 1L) ~byzantine_fraction:byz
+               ~knowledgeable_fraction:know ())))
+    [ (Float.nan, 0.8); (0.1, Float.nan) ];
+  List.iter
+    (fun byz ->
+      raises (Printf.sprintf "Ba.run_sync byz=%g" byz) (fun () ->
+          ignore (Ba.run_sync ~n:64 ~seed:1L ~byzantine_fraction:byz ())))
+    [ Float.nan; -0.2; 0.5; 1.0; 1.5 ]
+
 let test_params_make_for_sizing () =
   let lax = Params.make_for ~n:256 ~seed:1L ~byzantine_fraction:0.05 ~knowledgeable_fraction:0.9 () in
   let harsh =
@@ -370,6 +398,8 @@ let suites =
         Alcotest.test_case "defaults" `Quick test_params_defaults;
         Alcotest.test_case "validation" `Quick test_params_validation;
         Alcotest.test_case "make_for sizing" `Quick test_params_make_for_sizing;
+        Alcotest.test_case "NaN and out-of-range fractions rejected" `Quick
+          test_fractions_reject_nan;
         Alcotest.test_case "independent samplers" `Quick test_params_samplers_distinct;
       ] );
     ("core.msg", [ Alcotest.test_case "wire sizes" `Quick test_msg_bits ]);

@@ -91,8 +91,6 @@ let test_layout_choose () =
   Alcotest.(check bool) "n=65536 fits an immediate" true (total_bits w <= 63);
   Alcotest.(check bool) "wide addresses the population" true (w.max_n >= 65536);
   Alcotest.(check bool) "rid outgrows id" true (w.rid_bits >= w.id_bits + 1);
-  (* mask_mult of the narrow layout is the historical constant. *)
-  Alcotest.(check int) "narrow mask_mult is 133" 133 narrow.mask_mult;
   (match choose Narrow ~n:8193 ~strings:4 with
   | (_ : t) -> Alcotest.fail "Narrow at n=8193: expected Invalid_argument"
   | exception Invalid_argument _ -> ());
